@@ -362,6 +362,9 @@ def cmd_sweep(args):
         f"swept {len(points)} schedules ({len(failures)} failed), "
         f"{len(envelope_ids)} on the envelope; wrote {out}/sweep.csv and {out}/envelope.csv"
     )
+    if not results:
+        print(f"numeric error: all {len(points)} sweep points failed", file=sys.stderr)
+        return 3
     return 0
 
 

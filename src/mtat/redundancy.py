@@ -76,37 +76,68 @@ def js_divergence(p, q):
     qa = _as_probs(q, "js_divergence")
     if pa.shape != qa.shape:
         raise DimensionError(f"distribution lengths differ: {pa.size} vs {qa.size}")
-    return float(_js_rows(pa[None, :], qa[None, :])[0])
+    scratch = _JsdScratch(1, pa.size)
+    h_p = scratch.row_entropies(pa[None, :])
+    h_q = scratch.row_entropies(qa[None, :])
+    np.add(pa, qa, out=scratch.mix[0])
+    return float(scratch.mixture_jsd(1, h_p, h_q)[0])
 
 
-def _half_kl_rows(p, mix):
-    # Row-wise sum of p * log(p / mix) with 0 log 0 treated as 0. The
-    # mixture dominates p, so masked entries never hide a real infinity.
-    safe_p = np.where(p > 0.0, p, 1.0)
-    safe_m = np.where(mix > 0.0, mix, 1.0)
-    terms = np.where(p > 0.0, p * (np.log(safe_p) - np.log(safe_m)), 0.0)
-    return terms.sum(axis=-1)
+class _JsdScratch:
+    """Reused working memory for scoring up to ``capacity`` row pairs of
+    width ``width`` at a time, in entropy form:
+    JSD(p, q) = H(m) - (H(p) + H(q)) / 2 with m = (p + q) / 2.
 
+    ``mix`` takes the pair sums p + q; ``log`` and ``mask`` are scratch
+    for the one log per element; ``sums`` holds the per-row entropies.
+    """
 
-def _js_rows(p, q):
-    """Jensen-Shannon divergence between corresponding rows of two
-    equal-shape row-stochastic batches."""
-    mix = 0.5 * (p + q)
-    return 0.5 * _half_kl_rows(p, mix) + 0.5 * _half_kl_rows(q, mix)
+    def __init__(self, capacity, width):
+        self.mix = np.empty((capacity, width))
+        self.log = np.empty((capacity, width))
+        self.mask = np.empty((capacity, width), dtype=bool)
+        self.sums = np.empty(capacity)
+
+    def _entropy(self, x):
+        # -sum x log x per row with 0 log 0 = 0, into self.sums. Every
+        # entropy goes through this op sequence, so equal rows get equal
+        # bits and an identical pair scores exactly 0.
+        k = x.shape[0]
+        mask, log, out = self.mask[:k], self.log[:k], self.sums[:k]
+        np.greater(x, 0.0, out=mask)
+        log.fill(0.0)
+        np.log(x, out=log, where=mask)
+        np.multiply(log, x, out=log)
+        np.sum(log, axis=1, out=out)
+        return np.negative(out, out=out)
+
+    def row_entropies(self, rows):
+        """Entropy of every row of a C-contiguous row-stochastic matrix."""
+        capacity = self.sums.size
+        entropies = np.empty(rows.shape[0])
+        for lo in range(0, rows.shape[0], capacity):
+            entropies[lo : lo + capacity] = self._entropy(rows[lo : lo + capacity])
+        return entropies
+
+    def mixture_jsd(self, k, h_first, h_second):
+        """JSD of the ``k`` pairs whose sums p + q fill ``mix[:k]``, given
+        H(p) and H(q); clamped at 0 against rounding. Halves ``mix`` in
+        place and returns a view of ``sums``."""
+        mix = self.mix[:k]
+        np.multiply(mix, 0.5, out=mix)
+        jsd = self._entropy(mix)
+        jsd -= 0.5 * (h_first + h_second)
+        return np.maximum(jsd, 0.0, out=jsd)
 
 
 def _pairs_from_linear(linear, n):
-    # Unordered pairs (i, j), i < j, enumerated row-major: pair k of row i
-    # starts at offset sum_{r<i} (n - 1 - r). ``linear`` must be sorted.
-    pairs = []
-    row, base, row_len = 0, 0, n - 1
-    for k in linear:
-        while k >= base + row_len:
-            base += row_len
-            row += 1
-            row_len = n - 1 - row
-        pairs.append((row, row + 1 + (k - base)))
-    return pairs
+    # Unordered pairs (i, j), i < j, enumerated row-major: the pairs of
+    # row i start at offset sum_{r<i} (n - 1 - r).
+    lengths = np.arange(n - 1, 0, -1)
+    offsets = np.cumsum(lengths) - lengths
+    first = np.searchsorted(offsets, linear, side="right") - 1
+    second = first + 1 + (linear - offsets[first])
+    return first, second
 
 
 def _head_maps(maps):
@@ -139,6 +170,8 @@ def redundancy_score(maps, pair_cap=None, seed=0):
     for m in arrays:
         if m.shape[0] != rows:
             raise DimensionError("attention heads disagree on row count")
+        if m.shape[1] != arrays[0].shape[1]:
+            raise DimensionError("attention heads disagree on key count")
     if rows < 2:
         raise DomainError(f"need at least two rows to compare, got {rows}")
     total_pairs = rows * (rows - 1) // 2
@@ -146,20 +179,33 @@ def redundancy_score(maps, pair_cap=None, seed=0):
     if pair_cap is not None and int(pair_cap) < 1:
         raise DomainError(f"pair_cap must be positive, got {pair_cap}")
 
+    # Both paths score at most rows - 1 pairs at a time in one scratch.
+    scratch = _JsdScratch(rows - 1, arrays[0].shape[1])
     score = 0.0
     for head_index, head in enumerate(arrays):
+        head = np.ascontiguousarray(head, dtype=np.float64)
+        entropies = scratch.row_entropies(head)
+        head_sum = 0.0
         if not use_sampling:
-            head_sum = 0.0
             for i in range(rows - 1):
-                head_sum += float(np.sum(_js_rows(head[i][None, :], head[i + 1 :])))
+                k = rows - 1 - i
+                np.add(head[i + 1 :], head[i], out=scratch.mix[:k])
+                head_sum += float(np.sum(scratch.mixture_jsd(k, entropies[i], entropies[i + 1 :])))
             score += head_sum
         else:
             rng = stream_rng(seed, "redundancy-pairs", head_index)
             chosen = np.sort(rng.choice(total_pairs, size=int(pair_cap), replace=False))
-            sampled = 0.0
-            for i, j in _pairs_from_linear(chosen.tolist(), rows):
-                sampled += float(_js_rows(head[i][None, :], head[j][None, :])[0])
-            score += sampled * (total_pairs / int(pair_cap))
+            first, second = _pairs_from_linear(chosen, rows)
+            for lo in range(0, first.size, rows - 1):
+                a, b = first[lo : lo + rows - 1], second[lo : lo + rows - 1]
+                k = a.size
+                # mode="clip" (the indices are in range) lets take write
+                # straight into out instead of through a buffer.
+                np.take(head, a, axis=0, out=scratch.mix[:k], mode="clip")
+                np.take(head, b, axis=0, out=scratch.log[:k], mode="clip")
+                np.add(scratch.mix[:k], scratch.log[:k], out=scratch.mix[:k])
+                head_sum += float(np.sum(scratch.mixture_jsd(k, entropies[a], entropies[b])))
+            score += head_sum * (total_pairs / int(pair_cap))
     heads = len(arrays)
     return 2.0 * score / (heads * rows * (rows - 1))
 

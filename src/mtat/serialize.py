@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .tensor import Tensor
-from .util import write_bytes_atomic, write_text_atomic
+from .util import write_bytes_atomic
 
 TENSOR_MAGIC = b"MTAT"
 CHECKPOINT_MAGIC = b"MTCK"
@@ -140,8 +140,3 @@ def save_checkpoint(path, tensors):
 def load_checkpoint(path):
     with open(path, "rb") as handle:
         return checkpoint_from_bytes(handle.read())
-
-
-def save_json(path, payload):
-    """Write a JSON document with stable key order and a trailing newline."""
-    write_text_atomic(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")

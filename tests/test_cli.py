@@ -198,6 +198,19 @@ def test_sweep_single_point_is_its_own_envelope(tmp_path):
     assert env_rows == rows
 
 
+def test_sweep_exits_3_when_every_point_fails(tmp_path, capsys):
+    # No 128-, 256- or 512-token mediator grid fits the default 8x8 model.
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"sweep": {"counts": [128, 256, 512]}}))
+    out = tmp_path / "run"
+    assert main(["sweep", "--config", str(path), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "no 128-token mediator grid fits inside 8x8" in err
+    assert "numeric error: all 77 sweep points failed" in err
+    header, rows = read_csv(out / "sweep.csv")
+    assert header[0] == "rho0" and rows == []
+
+
 def test_sweep_worker_count_does_not_change_results(tmp_path, config_path, monkeypatch):
     out_a, out_b = tmp_path / "a", tmp_path / "b"
     monkeypatch.setenv("MTAT_THREADS", "1")
