@@ -6,8 +6,7 @@ values) and writes the result to <out>/config.resolved.json, so any run
 can be reproduced bit for bit by pointing --config at that file.
 
 Exit codes: 0 on success, 2 for configuration or usage problems, 3 for
-numeric failures. MTAT_THREADS caps sweep parallelism; results do not
-depend on the worker count.
+numeric failures.
 """
 
 import argparse
@@ -19,7 +18,13 @@ import time
 
 import numpy as np
 
-from .attention import AttentionConfig, FlopsReport, attention_flops, mediator_flops
+from .attention import (
+    AttentionConfig,
+    FlopsReport,
+    MediatorConfig,
+    attention_flops,
+    mediator_flops,
+)
 from .diffusion import (
     SgdConfig,
     SgdState,
@@ -42,7 +47,7 @@ from .errors import (
 from .scheduler import MediatorSchedule, pareto_envelope, sweep_thresholds, threshold_grid
 from .serialize import load_checkpoint, save_checkpoint, save_tensor
 from .tensor import MacCounter, Tensor, no_grad
-from .util import child_seed, stream_rng, thread_cap, write_text_atomic
+from .util import child_seed, stream_rng, write_text_atomic
 
 _META_KEYS = ("command", "invocation")
 
@@ -310,6 +315,9 @@ def cmd_sweep(args):
         metrics=sweep_cfg["metrics"],
         two_level=bool(sweep_cfg["two_level"]),
     )
+    # A count with no mediator grid fails every point; report it once.
+    for count in sweep_cfg["counts"]:
+        MediatorConfig.from_count(count, model.cfg.attention_config)
     ref_data = synth_dataset(
         child_seed(seed, "sweep", "reference"),
         model.cfg.classes, model.cfg.grid_h, model.cfg.grid_w,
@@ -317,6 +325,11 @@ def cmd_sweep(args):
     )
     steps = int(sweep_cfg["steps"])
     per_point_samples = int(sweep_cfg["samples"])
+    # Every point draws sample s from the same noise, so points differ only
+    # in schedule, and points whose counts agree so far share those steps:
+    # one velocity cache per sample holds them for this sweep.
+    noise_seed = child_seed(seed, "sweep")
+    caches = [{} for _ in range(per_point_samples)]
 
     def evaluate(point):
         images = []
@@ -324,8 +337,8 @@ def cmd_sweep(args):
         for s in range(per_point_samples):
             label = s % model.cfg.classes
             result = euler_sample(
-                model, label, steps, child_seed(seed, "sweep", point.index),
-                schedule=point.schedule, sample_index=s,
+                model, label, steps, noise_seed,
+                schedule=point.schedule, sample_index=s, cache=caches[s],
             )
             images.append(result.image)
             flops_total += result.flops.total_flops
@@ -333,8 +346,7 @@ def cmd_sweep(args):
         quality = fid_proxy(np.stack(images), ref_data.images, seed=seed)
         return cost, quality
 
-    workers = thread_cap(default=min(4, os.cpu_count() or 1))
-    results, failures = sweep_thresholds(points, evaluate, workers=workers)
+    results, failures = sweep_thresholds(points, evaluate)
     for point, exc in failures:
         print(
             f"sweep point {point.index} (rho0={point.rho0}, rho1={point.rho1}, "
@@ -442,13 +454,12 @@ def cmd_bench(args):
     rows = []
     rng = stream_rng(config["seed"], "bench")
     from .attention import MultiHeadParams, mediator_attention, multi_head_attention
-    from .attention import MediatorConfig as MCfg
 
     for n_tokens in sizes:
         cfg = AttentionConfig.square(n_tokens, channels, heads)
         z = Tensor(rng.standard_normal((n_tokens, channels)))
         params = MultiHeadParams.random(rng, channels, requires_grad=False)
-        mcfg = MCfg.from_count(mediators, cfg)
+        mcfg = MediatorConfig.from_count(mediators, cfg)
         for kind in ("vanilla", "mediator"):
             counter = MacCounter()
             start = time.perf_counter()

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .attention import (
     AttentionConfig,
@@ -537,15 +536,18 @@ def euler_sample(
     record_trajectory=False,
     sample_index=0,
     models_by_count=None,
+    cache=None,
 ):
     """Draw one sample by deterministic Euler integration from noise.
 
     ``mediator_count`` overrides the model default when no schedule is
     given; ``sample_index`` separates the noise streams of samples drawn
     under one seed; ``models_by_count`` swaps in per-count weight sets
-    as the schedule advances. Returns a SampleResult with the final
-    image on the spatial grid; the trajectory, when recorded, stores
-    each intermediate token matrix including the initial noise.
+    as the schedule advances; ``cache`` goes to ``run_scheduled_sampling``
+    and may only be shared between calls with the same models, label,
+    seed, sample index and step count. Returns a SampleResult with the
+    final image on the spatial grid; the trajectory, when recorded,
+    stores each intermediate token matrix including the initial noise.
     """
     cfg = model.cfg
     rng = stream_rng(seed, "sampling", int(sample_index))
@@ -559,7 +561,7 @@ def euler_sample(
         if record_trajectory:
             trajectory.append(x.copy())
 
-    final, trace, flops = run_scheduled_sampling(bundle, x_init, steps, schedule, on_step)
+    final, trace, flops = run_scheduled_sampling(bundle, x_init, steps, schedule, on_step, cache)
     return SampleResult(
         image=image_from_tokens(final, cfg), trace=trace, flops=flops, trajectory=trajectory
     )
@@ -632,9 +634,16 @@ def fid_proxy(generated, reference, seed=0, max_dims=64):
 
     mu_g, cov_g = fit(gen)
     mu_r, cov_r = fit(ref)
-    covmean = scipy.linalg.sqrtm(cov_g @ cov_r)
-    if np.iscomplexobj(covmean):
-        covmean = covmean.real
+
+    def root(cov):
+        w, basis = np.linalg.eigh(cov)
+        return (basis * np.sqrt(np.clip(w, 0.0, None))) @ basis.T
+
+    # tr sqrt(Sg Sr) = tr sqrt(Sg^1/2 Sr Sg^1/2), the sum of the singular
+    # values of Sr^1/2 Sg^1/2. Taking them from the product itself, not as
+    # square roots of its Gram matrix's eigenvalues, keeps the ridge-sized
+    # directions accurate, so identical sets still score ~0.
+    tr_covmean = np.sum(np.linalg.svd(root(cov_r) @ root(cov_g), compute_uv=False))
     mean_term = float(np.sum((mu_g - mu_r) ** 2))
-    trace_term = float(np.trace(cov_g) + np.trace(cov_r) - 2.0 * np.trace(covmean))
+    trace_term = float(np.trace(cov_g) + np.trace(cov_r) - 2.0 * tr_covmean)
     return mean_term + trace_term

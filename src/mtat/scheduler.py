@@ -175,7 +175,7 @@ class LatentTrace:
         return "\n".join(lines) + "\n"
 
 
-def run_scheduled_sampling(bundle, x_init, steps, schedule=None, on_step=None):
+def run_scheduled_sampling(bundle, x_init, steps, schedule=None, on_step=None, cache=None):
     """Deterministic Euler sampling from t=1 noise down to t=0.
 
     ``bundle`` supplies ``velocity(x, t, count)`` and
@@ -184,6 +184,14 @@ def run_scheduled_sampling(bundle, x_init, steps, schedule=None, on_step=None):
     the mediator count for the next one. A first step that does not move
     the latent at all leaves the schedule at its starting level for the
     whole run, since relative thresholds are meaningless there.
+
+    ``cache`` is an optional caller-owned dict of velocities keyed by the
+    count prefix: the counts of the steps taken so far plus this step's.
+    From a fixed start the latent before step k depends only on the counts
+    of steps 0..k-1, so runs whose schedules pick the same counts share
+    those steps, and ``bundle.velocity`` is called only on a miss. One
+    cache serves one (model, label, initial latent, step count); a
+    capturing bundle records maps only for the steps it computes.
 
     Returns (final latent, LatentTrace, summed FlopsReport).
     """
@@ -200,11 +208,16 @@ def run_scheduled_sampling(bundle, x_init, steps, schedule=None, on_step=None):
     total = FlopsReport()
     for k in range(steps):
         t = 1.0 - k / steps
-        velocity = np.asarray(bundle.velocity(x, t, count), dtype=np.float64)
-        if velocity.shape != x.shape:
-            raise DimensionError(
-                f"velocity shape {velocity.shape} does not match latent {x.shape}"
-            )
+        key = tuple(trace.selected) + (count,)
+        velocity = None if cache is None else cache.get(key)
+        if velocity is None:
+            velocity = np.asarray(bundle.velocity(x, t, count), dtype=np.float64)
+            if velocity.shape != x.shape:
+                raise DimensionError(
+                    f"velocity shape {velocity.shape} does not match latent {x.shape}"
+                )
+            if cache is not None:
+                cache[key] = velocity
         x_next = x - velocity / steps
         if not np.all(np.isfinite(x_next)):
             raise NumericError(f"sampling diverged at step {k}")

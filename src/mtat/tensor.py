@@ -431,7 +431,7 @@ def gelu(x):
     """Gaussian error linear unit, tanh form."""
     x = _as_tensor(x, "gelu")
     xd = x.data
-    inner = _GELU_C * (xd + _GELU_A * xd**3)
+    inner = _GELU_C * (xd + _GELU_A * (xd * xd * xd))
     th = np.tanh(inner)
 
     def vjp(g):

@@ -49,19 +49,3 @@ def write_bytes_atomic(path, blob):
 def child_seed(seed, *names):
     """A derived integer seed for handing to APIs that take one."""
     return int(stream_rng(seed, *names).integers(0, 2**63))
-
-
-def thread_cap(default=1):
-    """Worker cap from the MTAT_THREADS environment variable.
-
-    Unset or invalid values fall back to ``default``; the result is
-    always at least 1.
-    """
-    raw = os.environ.get("MTAT_THREADS", "")
-    try:
-        value = int(raw)
-    except ValueError:
-        return max(1, default)
-    if value < 1:
-        return max(1, default)
-    return value

@@ -13,10 +13,21 @@ import pytest
 
 import mtat
 from mtat.cli import main
-from mtat.diffusion import ToyDiffusionModel, ToyModelConfig, capture_redundancy
+from mtat.diffusion import (
+    ModelBundle,
+    ToyDiffusionModel,
+    ToyModelConfig,
+    capture_redundancy,
+    euler_sample,
+    fid_proxy,
+    synth_dataset,
+)
+from mtat.errors import NumericError
+from mtat.scheduler import threshold_grid
 from mtat.serialize import load_checkpoint
 from mtat.tensor import Tensor
 from mtat.serialize import save_checkpoint
+from mtat.util import child_seed
 
 MICRO_MODEL = {
     "grid": [4, 4],
@@ -198,24 +209,34 @@ def test_sweep_single_point_is_its_own_envelope(tmp_path):
     assert env_rows == rows
 
 
-def test_sweep_exits_3_when_every_point_fails(tmp_path, capsys):
+def test_sweep_exits_3_when_every_point_fails(tmp_path, capsys, monkeypatch):
+    def broken_quality(*args, **kwargs):
+        raise NumericError("quality proxy diverged")
+
+    monkeypatch.setattr("mtat.cli.fid_proxy", broken_quality)
+    out = tmp_path / "run"
+    assert main(["sweep", "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "quality proxy diverged" in err
+    assert "numeric error: all 77 sweep points failed" in err
+    for name in ("sweep.csv", "envelope.csv"):
+        header, rows = read_csv(out / name)
+        assert header[0] == "rho0" and rows == []
+
+
+def test_sweep_rejects_out_of_grid_counts_before_any_point_runs(tmp_path, capsys):
     # No 128-, 256- or 512-token mediator grid fits the default 8x8 model.
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"sweep": {"counts": [128, 256, 512]}}))
     out = tmp_path / "run"
-    assert main(["sweep", "--config", str(path), "--out", str(out)]) == 3
-    err = capsys.readouterr().err
-    assert "no 128-token mediator grid fits inside 8x8" in err
-    assert "numeric error: all 77 sweep points failed" in err
-    header, rows = read_csv(out / "sweep.csv")
-    assert header[0] == "rho0" and rows == []
+    assert main(["sweep", "--config", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: no 128-token mediator grid fits inside 8x8\n"
+    assert not (out / "sweep.csv").exists()
 
 
-def test_sweep_worker_count_does_not_change_results(tmp_path, config_path, monkeypatch):
+def test_sweep_reruns_are_byte_identical(tmp_path, config_path):
     out_a, out_b = tmp_path / "a", tmp_path / "b"
-    monkeypatch.setenv("MTAT_THREADS", "1")
     assert main(["sweep", "--config", config_path, "--out", str(out_a)]) == 0
-    monkeypatch.setenv("MTAT_THREADS", "3")
     assert main(["sweep", "--config", config_path, "--out", str(out_b)]) == 0
     assert (out_a / "sweep.csv").read_bytes() == (out_b / "sweep.csv").read_bytes()
     assert (out_a / "envelope.csv").read_bytes() == (out_b / "envelope.csv").read_bytes()
@@ -225,6 +246,100 @@ def test_sweep_worker_count_does_not_change_results(tmp_path, config_path, monke
     assert flagged
     _, env_rows = read_csv(out_a / "envelope.csv")
     assert env_rows == sorted(flagged, key=lambda r: float(r[3]))
+
+
+# Three counts and three steps on the micro model: 9 schedules, several of
+# which pick the same counts (every rho0 = 0.0 schedule stays at 1 mediator).
+TRIE_CONFIG = dict(
+    MICRO_CONFIG,
+    sweep=dict(
+        MICRO_CONFIG["sweep"], rho_values=[1.0, 0.5, 0.0], counts=[1, 4, 16], samples=2, steps=3
+    ),
+)
+
+
+@pytest.fixture(scope="module")
+def trie_sweep(tmp_path_factory):
+    """The micro sweep run through main(), with the velocity calls it made,
+    next to each point recomputed on its own without a cache."""
+    tmp = tmp_path_factory.mktemp("trie")
+    path = tmp / "config.json"
+    path.write_text(json.dumps(TRIE_CONFIG))
+    # Trained weights, so the latent moves and the schedules branch.
+    assert main(["train", "--config", str(path), "--out", str(tmp / "train")]) == 0
+    ckpt = str(tmp / "train" / "model.ckpt")
+    calls = []
+    velocity = ModelBundle.velocity
+
+    def counted(self, x, t, count):
+        calls.append(count)
+        return velocity(self, x, t, count)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ModelBundle, "velocity", counted)
+        code = main(["sweep", "--config", str(path), "--ckpt", ckpt, "--out", str(tmp / "run")])
+    assert code == 0
+    _, rows = read_csv(tmp / "run" / "sweep.csv")
+
+    sweep = TRIE_CONFIG["sweep"]
+    model_cfg = ToyModelConfig.from_json_dict(MICRO_MODEL)
+    model = ToyDiffusionModel.from_state(model_cfg, load_checkpoint(ckpt))
+    reference = synth_dataset(
+        child_seed(0, "sweep", "reference"), model.cfg.classes, model.cfg.grid_h,
+        model.cfg.grid_w, sweep["reference_size"], model.cfg.channels,
+    ).images
+    points = threshold_grid(sweep["rho_values"], sweep["counts"])
+    uncached = []
+    for point in points:
+        results = [
+            euler_sample(
+                model, s % model.cfg.classes, sweep["steps"], child_seed(0, "sweep"),
+                schedule=point.schedule, sample_index=s,
+            )
+            for s in range(sweep["samples"])
+        ]
+        cost = sum(r.flops.total_flops for r in results) / sweep["samples"] / 1e9
+        quality = fid_proxy(np.stack([r.image for r in results]), reference, seed=0)
+        traces = tuple(tuple(r.trace.selected) for r in results)
+        uncached.append((point, cost, quality, traces))
+    return rows, len(calls), uncached
+
+
+def test_sweep_rows_match_uncached_per_point_sampling(trie_sweep):
+    rows, _, uncached = trie_sweep
+    assert len(rows) == len(uncached) == 9
+    for row, (point, cost, quality, _) in zip(rows, uncached):
+        rho1 = "" if point.rho1 is None else repr(point.rho1)
+        assert row[:5] == [repr(point.rho0), rho1, point.metric, repr(cost), repr(quality)]
+
+
+def test_sweep_points_with_equal_count_traces_score_equal_quality(trie_sweep):
+    rows, _, uncached = trie_sweep
+    by_traces = {}
+    for row, (_, _, _, traces) in zip(rows, uncached):
+        by_traces.setdefault(traces, []).append(row[3:5])
+    shared = [group for group in by_traces.values() if len(group) > 1]
+    assert shared
+    for group in shared:
+        assert all(entry == group[0] for entry in group)
+
+
+def test_sweep_calls_the_model_once_per_distinct_count_prefix(trie_sweep):
+    _, calls, uncached = trie_sweep
+    sweep = TRIE_CONFIG["sweep"]
+    samples, steps, levels = sweep["samples"], sweep["steps"], len(sweep["counts"])
+    prefixes = {
+        (s, traces[s][:length])
+        for _, _, _, traces in uncached
+        for s in range(samples)
+        for length in range(1, steps + 1)
+    }
+    assert len(prefixes) > samples * steps  # the schedules do branch
+    assert calls == len(prefixes)
+    # Latched counts never fall and start at the first level, so a prefix of
+    # length L is one of comb(L + levels - 2, levels - 1) sequences.
+    trie_bound = samples * sum(math.comb(L + levels - 2, levels - 1) for L in range(1, steps + 1))
+    assert calls <= trie_bound < len(uncached) * samples * steps
 
 
 # ---------------------------------------------------------------------------
@@ -332,6 +447,14 @@ def test_numeric_blowup_exits_3(tmp_path, config_path, capsys):
 # console entry point
 
 
+def _fresh_interpreter_env():
+    """The environment with the directory holding the imported `mtat` first on PYTHONPATH."""
+    env = dict(os.environ)
+    package_root = str(Path(mtat.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    return env
+
+
 def test_installed_script_answers_help():
     """The declared `mtat` script answers --help, run as a console script runs it."""
     try:
@@ -342,15 +465,22 @@ def test_installed_script_answers_help():
     target = tomllib.loads(pyproject.read_text())["project"]["scripts"]["mtat"]
     module, func = target.split(":")
     code = f"import sys; from {module} import {func} as f; sys.argv[0] = 'mtat'; sys.exit(f())"
-    env = dict(os.environ)
-    package_root = str(Path(mtat.__file__).resolve().parent.parent)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", code, "--help"], capture_output=True, text=True, env=env
+        [sys.executable, "-c", code, "--help"],
+        capture_output=True, text=True, env=_fresh_interpreter_env(),
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("usage: mtat")
     assert "train" in proc.stdout and "sweep" in proc.stdout
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    code = "import sys, mtat.cli; print('scipy' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=_fresh_interpreter_env()
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 @pytest.mark.skipif(shutil.which("mtat") is None, reason="mtat console script not on PATH")
