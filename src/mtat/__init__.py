@@ -25,7 +25,6 @@ from .attention import (
 from .diffusion import (
     ModelBundle,
     SampleResult,
-    ScriptedBundle,
     SgdConfig,
     SgdState,
     SynthData,

@@ -23,12 +23,10 @@ from .tensor import (
     Tensor,
     add,
     adaptive_avg_pool2d,
-    concat_cols,
     depthwise_conv3x3,
     matmul,
     reshape,
     scale,
-    slice_cols,
     softmax_rows,
     transpose,
 )
@@ -141,12 +139,27 @@ def _check_rows_stochastic(array, what):
         raise NumericError(f"{what} contains negative weights")
 
 
+def _map_stack(arrays, what):
+    """One float64 copy of equal-shape per-head matrices, (heads, rows, cols)."""
+    if len(arrays) == 0:
+        raise UsageError(f"{what} need at least one per-head array")
+    try:
+        stack = np.array(arrays, dtype=np.float64)
+    except ValueError as exc:
+        raise DimensionError(f"{what} differ in shape from head to head") from exc
+    if stack.ndim != 3:
+        raise DimensionError(f"{what} must be matrices, got shape {stack.shape[1:]}")
+    return stack
+
+
 class AttentionMaps:
     """Per-head attention weights captured from one layer.
 
     ``kind`` is "full" (one N x N map per head) or "mediated" (an N x n
     query-to-mediator map and an n x N mediator-to-key map per head).
-    Arrays are detached copies; construction checks row-stochasticity.
+    Each stage takes a list of equal-shape per-head arrays or one
+    (heads, rows, cols) array and is kept as a list of per-head views
+    of one detached copy; construction checks row-stochasticity.
     """
 
     __slots__ = ("kind", "heads", "query_to_mediator", "mediator_to_key")
@@ -154,30 +167,29 @@ class AttentionMaps:
     def __init__(self, kind, heads=None, query_to_mediator=None, mediator_to_key=None):
         self.kind = kind
         if kind == "full":
-            if not heads:
-                raise UsageError("full maps need at least one per-head array")
-            self.heads = [np.array(h, dtype=np.float64) for h in heads]
+            stack = _map_stack(heads if heads is not None else [], "full maps")
+            if stack.shape[1] != stack.shape[2]:
+                raise DimensionError(f"full maps must be square, got {stack.shape[1:]}")
+            _check_rows_stochastic(stack, "full attention maps")
+            self.heads = list(stack)
             self.query_to_mediator = None
             self.mediator_to_key = None
-            for i, h in enumerate(self.heads):
-                if h.ndim != 2 or h.shape[0] != h.shape[1]:
-                    raise DimensionError(f"full map {i} must be square, got {h.shape}")
-                _check_rows_stochastic(h, f"full attention map {i}")
         elif kind == "mediated":
-            if not query_to_mediator or not mediator_to_key:
-                raise UsageError("mediated maps need both stages for every head")
-            if len(query_to_mediator) != len(mediator_to_key):
+            qt = _map_stack(query_to_mediator if query_to_mediator is not None else [],
+                            "query-to-mediator maps")
+            tk = _map_stack(mediator_to_key if mediator_to_key is not None else [],
+                            "mediator-to-key maps")
+            if len(qt) != len(tk):
                 raise DimensionError("mediated stages disagree on head count")
+            if qt.shape[2] != tk.shape[1]:
+                raise DimensionError(
+                    f"mediated stages do not chain: {qt.shape[1:]} then {tk.shape[1:]}"
+                )
+            _check_rows_stochastic(qt, "query-to-mediator maps")
+            _check_rows_stochastic(tk, "mediator-to-key maps")
             self.heads = None
-            self.query_to_mediator = [np.array(a, dtype=np.float64) for a in query_to_mediator]
-            self.mediator_to_key = [np.array(a, dtype=np.float64) for a in mediator_to_key]
-            for i, (qt, tk) in enumerate(zip(self.query_to_mediator, self.mediator_to_key)):
-                if qt.ndim != 2 or tk.ndim != 2 or qt.shape[1] != tk.shape[0]:
-                    raise DimensionError(
-                        f"mediated map {i} stages do not chain: {qt.shape} then {tk.shape}"
-                    )
-                _check_rows_stochastic(qt, f"query-to-mediator map {i}")
-                _check_rows_stochastic(tk, f"mediator-to-key map {i}")
+            self.query_to_mediator = list(qt)
+            self.mediator_to_key = list(tk)
         else:
             raise UsageError(f"unknown attention map kind {kind!r}")
 
@@ -209,9 +221,9 @@ def composed_attention_map(maps):
 
 
 def _check_tokens(z, cfg, what):
-    if z.ndim != 2 or z.shape != (cfg.n_tokens, cfg.channels):
+    if z.ndim < 2 or z.shape[-2:] != (cfg.n_tokens, cfg.channels):
         raise DimensionError(
-            f"{what} expects tokens of shape ({cfg.n_tokens}, {cfg.channels}), got {z.shape}"
+            f"{what} expects tokens of shape (..., {cfg.n_tokens}, {cfg.channels}), got {z.shape}"
         )
 
 
@@ -223,42 +235,65 @@ def project_qkv(z, params, counter=None):
     return q, k, v
 
 
-def _split_heads(x, heads):
-    dim = x.shape[1] // heads
-    return [slice_cols(x, m * dim, (m + 1) * dim) for m in range(heads)]
+def _head_axes(rank):
+    # Swaps axes rank and rank + 1: (..., N, H, d) <-> (..., H, N, d).
+    return tuple(range(rank)) + (rank + 1, rank, rank + 2)
 
 
-def vanilla_attention_head(q, k, v, counter=None):
-    """Single-head attention: softmax(q k^T / sqrt(d)) v.
+def _heads_first(x, heads):
+    """(..., N, C) tokens to (..., H, N, C/H): heads on a leading axis."""
+    *lead, tokens, channels = x.shape
+    split = reshape(x, (*lead, tokens, heads, channels // heads))
+    return transpose(split, _head_axes(len(lead)))
 
-    Returns the head output and the attention map tensor.
-    """
-    if q.ndim != 2 or q.shape[1] != k.shape[1] or k.shape[0] != v.shape[0]:
+
+def _merge_heads(x):
+    """(..., H, N, d) head outputs back to (..., N, H*d) tokens."""
+    *lead, heads, tokens, dim = x.shape
+    return reshape(transpose(x, _head_axes(len(lead))), (*lead, tokens, heads * dim))
+
+
+def _check_head_shapes(q, k, v):
+    if (
+        min(q.ndim, k.ndim, v.ndim) < 2
+        or q.shape[-1] != k.shape[-1]
+        or k.shape[-2] != v.shape[-2]
+        or not q.shape[:-2] == k.shape[:-2] == v.shape[:-2]
+    ):
         raise DimensionError(
             f"attention head shapes disagree: q {q.shape}, k {k.shape}, v {v.shape}"
         )
-    dim = q.shape[1]
-    scores = scale(matmul(q, transpose(k), counter, LABEL_INTERACTION), 1.0 / math.sqrt(dim))
+
+
+def vanilla_attention_head(q, k, v, counter=None):
+    """Attention softmax(q k^T / sqrt(d)) v for one head, or for a stack
+    of heads (and samples) on the leading axes.
+
+    Returns the head output and the attention map tensor.
+    """
+    _check_head_shapes(q, k, v)
+    dim = q.shape[-1]
+    # Scaling the N x d queries, not the N x N scores, keeps one N x N
+    # array fewer on the tape.
+    scores = matmul(scale(q, 1.0 / math.sqrt(dim)), transpose(k), counter, LABEL_INTERACTION)
     attn = softmax_rows(scores)
     out = matmul(attn, v, counter, LABEL_INTERACTION)
     return out, attn
 
 
 def multi_head_attention(z, params, cfg, counter=None):
-    """Full multi-head self-attention over one token matrix.
+    """Full multi-head self-attention over (..., N, C) tokens, all heads
+    in one pass.
 
-    Returns the projected output and the captured full maps.
+    Returns the projected output and the captured full maps, one per
+    head of every sample in order.
     """
     _check_tokens(z, cfg, "multi_head_attention")
-    q, k, v = project_qkv(z, params, counter)
-    outputs, captured = [], []
-    for q_h, k_h, v_h in zip(*(_split_heads(x, cfg.heads) for x in (q, k, v))):
-        head_out, attn = vanilla_attention_head(q_h, k_h, v_h, counter)
-        outputs.append(head_out)
-        captured.append(attn.data.copy())
-    merged = concat_cols(outputs)
-    out = matmul(merged, params.w_out, counter, LABEL_OUT)
-    return out, AttentionMaps.full(captured)
+    q, k, v = (_heads_first(x, cfg.heads) for x in project_qkv(z, params, counter))
+    head_out, attn = vanilla_attention_head(q, k, v, counter)
+    out = matmul(_merge_heads(head_out), params.w_out, counter, LABEL_OUT)
+    n = cfg.n_tokens
+    return out, AttentionMaps.full(attn.data.reshape(-1, n, n))
 
 
 def make_mediators(q, cfg, mcfg, counter=None):
@@ -275,27 +310,26 @@ def make_mediators(q, cfg, mcfg, counter=None):
             f"mediator grid {mcfg.grid_h}x{mcfg.grid_w} exceeds token grid "
             f"{cfg.grid_h}x{cfg.grid_w}"
         )
-    image = reshape(q, (cfg.grid_h, cfg.grid_w, cfg.channels))
+    lead = q.shape[:-2]
+    image = reshape(q, (*lead, cfg.grid_h, cfg.grid_w, cfg.channels))
     pooled = adaptive_avg_pool2d(image, (mcfg.grid_h, mcfg.grid_w), counter, LABEL_POOLING)
-    return reshape(pooled, (mcfg.count, cfg.channels))
+    return reshape(pooled, (*lead, mcfg.count, cfg.channels))
 
 
 def mediator_attention_head(q, k, v, mediators, counter=None):
-    """Single-head mediated attention.
+    """Mediated attention for one head, or for a stack of heads (and
+    samples) on the leading axes.
 
     Stage one compresses the values: the mediators attend over the keys.
     Stage two answers the queries against that compressed table. Returns
     the head output plus both stage maps.
     """
-    if q.ndim != 2 or q.shape[1] != k.shape[1] or k.shape[0] != v.shape[0]:
+    _check_head_shapes(q, k, v)
+    if mediators.shape[:-2] != q.shape[:-2] or mediators.shape[-1] != q.shape[-1]:
         raise DimensionError(
-            f"attention head shapes disagree: q {q.shape}, k {k.shape}, v {v.shape}"
+            f"mediator shape {mediators.shape} does not match queries {q.shape}"
         )
-    if mediators.ndim != 2 or mediators.shape[1] != q.shape[1]:
-        raise DimensionError(
-            f"mediator width {mediators.shape} does not match head dim {q.shape[1]}"
-        )
-    dim = q.shape[1]
+    dim = q.shape[-1]
     inv_sqrt = 1.0 / math.sqrt(dim)
     med_scores = scale(matmul(mediators, transpose(k), counter, LABEL_INTERACTION), inv_sqrt)
     med_to_key = softmax_rows(med_scores)
@@ -307,32 +341,33 @@ def mediator_attention_head(q, k, v, mediators, counter=None):
 
 
 def mediator_attention(z, params, cfg, mcfg, dw_kernels=None, counter=None):
-    """Multi-head mediated attention with the depthwise value branch.
+    """Multi-head mediated attention over (..., N, C) tokens, all heads in
+    one pass, with the depthwise value branch.
 
     ``dw_kernels`` is a 3 x 3 x channels tensor applied depthwise to the
     value tokens on the spatial grid and summed into the head outputs
     before the final projection; pass None to drop the branch entirely.
-    Returns the projected output and the captured mediated maps.
+    Returns the projected output and the captured mediated maps, one
+    pair per head of every sample in order.
     """
     _check_tokens(z, cfg, "mediator_attention")
     q, k, v = project_qkv(z, params, counter)
     mediators = make_mediators(q, cfg, mcfg, counter)
-    med_heads = _split_heads(mediators, cfg.heads)
-    outputs, qt_maps, tk_maps = [], [], []
-    for m, (q_h, k_h, v_h) in enumerate(zip(*(_split_heads(x, cfg.heads) for x in (q, k, v)))):
-        head_out, query_to_med, med_to_key = mediator_attention_head(
-            q_h, k_h, v_h, med_heads[m], counter
-        )
-        outputs.append(head_out)
-        qt_maps.append(query_to_med.data.copy())
-        tk_maps.append(med_to_key.data.copy())
-    merged = concat_cols(outputs)
+    head_out, query_to_med, med_to_key = mediator_attention_head(
+        *(_heads_first(x, cfg.heads) for x in (q, k, v, mediators)), counter
+    )
+    merged = _merge_heads(head_out)
     if dw_kernels is not None:
-        v_image = reshape(v, (cfg.grid_h, cfg.grid_w, cfg.channels))
+        lead = z.shape[:-2]
+        v_image = reshape(v, (*lead, cfg.grid_h, cfg.grid_w, cfg.channels))
         local = depthwise_conv3x3(v_image, dw_kernels, counter, LABEL_DWCONV)
-        merged = add(merged, reshape(local, (cfg.n_tokens, cfg.channels)))
+        merged = add(merged, reshape(local, merged.shape))
     out = matmul(merged, params.w_out, counter, LABEL_OUT)
-    return out, AttentionMaps.mediated(qt_maps, tk_maps)
+    n, count = cfg.n_tokens, mcfg.count
+    maps = AttentionMaps.mediated(
+        query_to_med.data.reshape(-1, n, count), med_to_key.data.reshape(-1, count, n)
+    )
+    return out, maps
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,6 @@ from .tensor import (
     mean_all,
     mul,
     no_grad,
-    reshape,
     sub,
 )
 from .util import stream_rng
@@ -50,26 +49,31 @@ def interpolate(x, eps, t):
     """Straight-line bridge between data and noise.
 
     Returns (x_t, velocity target) for x_t = (1 - t) x + t eps; the
-    velocity of that path is eps - x everywhere on it.
+    velocity of that path is eps - x everywhere on it. ``t`` is one
+    time, or one time per sample along the leading axes of a stack.
     """
     x = np.asarray(x, dtype=np.float64)
     eps = np.asarray(eps, dtype=np.float64)
     if x.shape != eps.shape:
         raise DimensionError(f"data and noise shapes differ: {x.shape} vs {eps.shape}")
-    t = float(t)
-    if not (0.0 <= t <= 1.0):
+    t = np.asarray(t, dtype=np.float64)
+    if x.shape[: t.ndim] != t.shape:
+        raise DimensionError(f"times of shape {t.shape} do not lead data of shape {x.shape}")
+    if not np.all((0.0 <= t) & (t <= 1.0)):
         raise DomainError(f"interpolation time {t} outside [0, 1]")
+    t = t.reshape(t.shape + (1,) * (x.ndim - t.ndim))
     return (1.0 - t) * x + t * eps, eps - x
 
 
 def time_features(t, width):
-    """Sinusoidal features of a scalar time in [0, 1]."""
+    """Sinusoidal features of times in [0, 1]: shape (width,) for a
+    scalar, t.shape + (width,) for an array."""
     if width < 2 or width % 2:
         raise ConfigError(f"time feature width must be even and >= 2, got {width}")
     half = width // 2
     freqs = np.exp(-math.log(10000.0) * np.arange(half) / half)
-    angles = 1000.0 * float(t) * freqs
-    return np.concatenate([np.cos(angles), np.sin(angles)])
+    angles = 1000.0 * np.asarray(t, dtype=np.float64)[..., None] * freqs
+    return np.concatenate([np.cos(angles), np.sin(angles)], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -264,26 +268,44 @@ class ToyDiffusionModel:
     def forward(self, x, t, label, mediator_count=None, counter=None, capture=False):
         """Predict the velocity field for tokens ``x`` at time ``t``.
 
-        Returns (velocity tensor, captured per-layer maps or None). Only
+        One sample: ``x`` is an image or an (N, C) token matrix, ``t`` a
+        scalar and ``label`` an int, and the velocity is (N, C). A batch:
+        ``t`` and ``label`` hold one entry per sample and ``x`` is the
+        (B, N, C) stack, run through every op at once; the velocity is
+        (B, N, C). Returns (velocity tensor, captured per-layer maps or
+        None); a batch's maps list every sample's heads in order. Only
         attention work is metered by ``counter``; the lift, conditioning,
         and MLPs are off the books by design.
         """
         cfg = self.cfg
-        t = float(t)
-        if not (0.0 <= t <= 1.0):
+        times = np.asarray(t, dtype=np.float64)
+        if not np.all((0.0 <= times) & (times <= 1.0)):
             raise DomainError(f"time {t} outside [0, 1]")
-        label = int(label)
-        if not (0 <= label < cfg.classes):
+        labels = np.asarray(label, dtype=np.int64)
+        if labels.shape != times.shape:
+            raise DimensionError(f"{labels.size} labels for {times.size} times")
+        if np.any((labels < 0) | (labels >= cfg.classes)):
             raise DomainError(f"label {label} outside [0, {cfg.classes})")
         count = cfg.default_mediators if mediator_count is None else int(mediator_count)
         attn_cfg = cfg.attention_config
-        tokens = Tensor(tokens_from_image(x, cfg)) if not isinstance(x, Tensor) else x
+        if isinstance(x, Tensor):
+            tokens = x
+        elif times.ndim:
+            tokens = Tensor(np.stack([tokens_from_image(sample, cfg) for sample in x]))
+        else:
+            tokens = Tensor(tokens_from_image(x, cfg))
+        if tokens.shape != times.shape + (cfg.n_tokens, cfg.channels):
+            raise DimensionError(
+                f"tokens of shape {tokens.shape} do not match {times.size} time(s)"
+            )
 
+        # Conditioning rows are (..., 1, hidden), added to every token.
         z = add(matmul(tokens, self.params["in_proj.w"]), self.params["in_proj.b"])
-        t_row = matmul(Tensor(time_features(t, cfg.time_width)[None, :]), self.params["time_proj.w"])
-        t_row = add(reshape(t_row, (cfg.hidden,)), self.params["time_proj.b"])
-        z = add(z, t_row)
-        z = add(z, embedding_row(self.params["class_embed"], label))
+        t_row = matmul(
+            Tensor(time_features(times[..., None], cfg.time_width)), self.params["time_proj.w"]
+        )
+        z = add(z, add(t_row, self.params["time_proj.b"]))
+        z = add(z, embedding_row(self.params["class_embed"], labels[..., None]))
 
         captured = [] if capture else None
         for i, kind in enumerate(cfg.layer_kinds):
@@ -371,19 +393,16 @@ class SgdState:
 
 
 def batch_loss(model, images, labels, times, noises, mediator_count=None):
-    """Mean squared velocity error over a batch, as one graph."""
+    """Mean squared velocity error over a batch: one forward over the
+    stacked samples, as one graph."""
     if len(images) == 0:
         raise UsageError("batch_loss needs at least one sample")
-    total = None
-    for image, label, t, eps in zip(images, labels, times, noises):
-        x_t, v_target = interpolate(image, eps, t)
-        pred, _ = model.forward(
-            tokens_from_image(x_t, model.cfg), float(t), int(label), mediator_count
-        )
-        diff = sub(pred, Tensor(tokens_from_image(v_target, model.cfg)))
-        err = mean_all(mul(diff, diff))
-        total = err if total is None else add(total, err)
-    return total * (1.0 / len(images))
+    cfg = model.cfg
+    x, eps = (np.stack([tokens_from_image(a, cfg) for a in arrays]) for arrays in (images, noises))
+    x_t, v_target = interpolate(x, eps, times)
+    pred, _ = model.forward(x_t, times, labels, mediator_count)
+    diff = sub(pred, Tensor(v_target))
+    return mean_all(mul(diff, diff))
 
 
 def train_step(model, optimizer, images, labels, rng, mediator_count=None):
@@ -490,32 +509,6 @@ class ModelBundle:
 
     def step_flops(self, count):
         return self._model_for(count).step_flops(count)
-
-
-class ScriptedBundle:
-    """Bundle whose per-step displacement follows a given script.
-
-    The velocity is a constant field sized so step k moves the latent by
-    exactly ``deltas[k]`` under both distance metrics. Useful for
-    exercising schedules without a trained model.
-    """
-
-    def __init__(self, deltas, attn_cfg, steps, default_count=1):
-        self.deltas = [float(d) for d in deltas]
-        self.attn_cfg = attn_cfg
-        self.steps = int(steps)
-        self.default_count = int(default_count)
-        self._step = 0
-
-    def velocity(self, x, t, count):
-        if self._step >= len(self.deltas):
-            raise UsageError(f"scripted bundle ran out of deltas at step {self._step}")
-        magnitude = self.deltas[self._step] * self.steps
-        self._step += 1
-        return np.full_like(x, magnitude)
-
-    def step_flops(self, count):
-        return mediator_flops(self.attn_cfg, count)
 
 
 @dataclass

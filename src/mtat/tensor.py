@@ -5,12 +5,16 @@ parents and a vector-Jacobian closure over the cached forward values.
 ``backward`` replays records in reverse topological order exactly once
 and returns gradients for every leaf that asked for them.
 
-Shapes are validated up front and every op checks its output for NaN or
-Inf; silent non-finite propagation is treated as a bug, not a value.
+Ops take leading batch axes: a stack of samples, heads or both, (B, H,
+N, d), runs as one op, so a batch costs one tape record per op rather
+than one per sample and head. Shapes are validated up front and every
+op checks its output for NaN or Inf; silent non-finite propagation is
+treated as a bug, not a value.
 Matrix ops accept an optional MacCounter so callers can meter multiply-
 accumulate work without touching the math.
 """
 
+import functools
 import math
 import threading
 from contextlib import contextmanager
@@ -18,6 +22,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DimensionError, NumericError, UsageError
 
@@ -71,7 +76,7 @@ class MacCounter:
 
 
 def _check_finite(arr, op):
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise NumericError(f"{op} produced non-finite values")
 
 
@@ -233,24 +238,32 @@ def backward(output, seed=None):
 # elementwise and shape ops
 
 
+def _unbroadcast(g, shape):
+    """Sum cotangent ``g`` down to ``shape`` over the axes broadcasting added."""
+    if g.shape == shape:
+        return g
+    lead = g.ndim - len(shape)
+    stretched = tuple(lead + i for i, s in enumerate(shape) if s == 1 and g.shape[lead + i] != 1)
+    return g.sum(axis=tuple(range(lead)) + stretched).reshape(shape)
+
+
 def add(a, b):
     """Elementwise sum.
 
-    Accepts equal shapes, or a 1-D ``b`` broadcast across the rows of a
-    2-D ``a`` (the bias case). Anything else is a shape error.
+    ``b`` may broadcast into ``a``'s shape: a bias row added to every
+    token, or a (B, 1, C) row added to every token of its sample. Its
+    gradient sums over the broadcast axes. Anything else, including a
+    ``b`` that would widen ``a``, is a shape error.
     """
     a = _as_tensor(a, "add")
     b = _as_tensor(b, "add")
     if a.shape == b.shape:
         return _make(a.data + b.data, "add", (a, b), lambda g: (g, g))
-    if a.ndim == 2 and b.ndim == 1 and b.shape[0] == a.shape[1]:
-        return _make(
-            a.data + b.data[None, :],
-            "add_row",
-            (a, b),
-            lambda g: (g, g.sum(axis=0)),
-        )
-    raise DimensionError(f"add got incompatible shapes {a.shape} and {b.shape}")
+    tail = a.shape[a.ndim - b.ndim :] if b.ndim <= a.ndim else None
+    if tail is None or any(sb not in (1, sa) for sa, sb in zip(tail, b.shape)):
+        raise DimensionError(f"add got incompatible shapes {a.shape} and {b.shape}")
+    b_shape = b.shape
+    return _make(a.data + b.data, "add", (a, b), lambda g: (g, _unbroadcast(g, b_shape)))
 
 
 def sub(a, b):
@@ -297,54 +310,24 @@ def reshape(x, shape):
     )
 
 
-def transpose(x):
+def transpose(x, axes=None):
+    """Permute the axes of ``x``; by default swap the last two, which
+    transposes every matrix of a stack."""
     x = _as_tensor(x, "transpose")
-    if x.ndim != 2:
-        raise DimensionError(f"transpose expects a matrix, got shape {x.shape}")
+    if axes is None:
+        if x.ndim < 2:
+            raise DimensionError(f"transpose expects a matrix or a stack, got shape {x.shape}")
+        axes = tuple(range(x.ndim - 2)) + (x.ndim - 1, x.ndim - 2)
+    axes = tuple(int(a) for a in axes)
+    if sorted(axes) != list(range(x.ndim)):
+        raise DimensionError(f"axes {axes} do not permute the {x.ndim} axes of shape {x.shape}")
+    inverse = tuple(axes.index(i) for i in range(x.ndim))
     return _make(
-        np.ascontiguousarray(x.data.T),
+        np.ascontiguousarray(x.data.transpose(axes)),
         "transpose",
         (x,),
-        lambda g: (np.ascontiguousarray(g.T),),
+        lambda g: (np.ascontiguousarray(g.transpose(inverse)),),
     )
-
-
-def slice_cols(x, start, stop):
-    """Columns ``[start, stop)`` of a matrix as a new tensor."""
-    x = _as_tensor(x, "slice_cols")
-    if x.ndim != 2:
-        raise DimensionError(f"slice_cols expects a matrix, got shape {x.shape}")
-    start, stop = int(start), int(stop)
-    if not (0 <= start < stop <= x.shape[1]):
-        raise DimensionError(f"column range [{start}, {stop}) invalid for shape {x.shape}")
-    cols = x.shape[1]
-
-    def vjp(g):
-        gx = np.zeros((g.shape[0], cols))
-        gx[:, start:stop] = g
-        return (gx,)
-
-    return _make(np.ascontiguousarray(x.data[:, start:stop]), "slice_cols", (x,), vjp)
-
-
-def concat_cols(parts):
-    """Concatenate matrices with equal row counts along columns."""
-    parts = tuple(_as_tensor(p, "concat_cols") for p in parts)
-    if not parts:
-        raise UsageError("concat_cols needs at least one tensor")
-    rows = parts[0].shape[0] if parts[0].ndim == 2 else None
-    for p in parts:
-        if p.ndim != 2 or p.shape[0] != rows:
-            raise DimensionError(
-                f"concat_cols expects matrices with {rows} rows, got shape {p.shape}"
-            )
-    widths = [p.shape[1] for p in parts]
-    edges = np.cumsum([0] + widths)
-
-    def vjp(g):
-        return tuple(g[:, edges[i] : edges[i + 1]] for i in range(len(parts)))
-
-    return _make(np.concatenate([p.data for p in parts], axis=1), "concat_cols", parts, vjp)
 
 
 def sum_all(x):
@@ -369,17 +352,28 @@ def mean_all(x):
 
 
 def embedding_row(table, index):
-    """Row ``index`` of a 2-D lookup table, differentiable w.r.t. the table."""
+    """Rows of a 2-D lookup table, differentiable w.r.t. the table.
+
+    An int ``index`` gives one row of shape (C,); an integer array of
+    shape S gives shape S + (C,), and a row picked twice gets both
+    gradients.
+    """
     table = _as_tensor(table, "embedding_row")
     if table.ndim != 2:
         raise DimensionError(f"embedding_row expects a matrix table, got shape {table.shape}")
-    index = int(index)
-    if not (0 <= index < table.shape[0]):
-        raise DimensionError(f"row {index} out of range for table with {table.shape[0]} rows")
+    if np.ndim(index) == 0:
+        index = int(index)
+    else:
+        index = np.asarray(index)
+        if index.dtype.kind not in "iu":
+            raise DimensionError(f"embedding_row needs integer indices, got {index.dtype}")
+    rows = table.shape[0]
+    if np.any((np.asarray(index) < 0) | (np.asarray(index) >= rows)):
+        raise DimensionError(f"row {index} out of range for table with {rows} rows")
 
     def vjp(g):
         gt = np.zeros(table.shape)
-        gt[index] = g
+        np.add.at(gt, index, g)
         return (gt,)
 
     return _make(table.data[index].copy(), "embedding_row", (table,), vjp)
@@ -390,34 +384,57 @@ def embedding_row(table, index):
 
 
 def matmul(a, b, counter=None, label="matmul"):
-    """Matrix product of 2-D tensors.
+    """Matrix product over the last two axes.
 
-    When ``counter`` is given, the m*k*p multiply-accumulate count of the
-    forward pass is added under ``label``; backward work is not metered.
+    ``a`` is a matrix or a stack of them, (..., m, k). ``b`` is either one
+    k x p matrix, applied to the whole stack as a single GEMM over the
+    flattened leading axes, or a stack with the same leading axes as
+    ``a``, multiplied pairwise. When ``counter`` is given, the forward
+    pass's m*k*p multiply-accumulates per product are added under
+    ``label``; backward work is not metered. Parents that do not
+    require grad get no gradient product.
     """
     a = _as_tensor(a, "matmul")
     b = _as_tensor(b, "matmul")
-    if a.ndim != 2 or b.ndim != 2:
+    if a.ndim < 2 or b.ndim < 2 or (b.ndim > 2 and b.shape[:-2] != a.shape[:-2]):
         raise DimensionError(f"matmul expects matrices, got shapes {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
+    if a.shape[-1] != b.shape[-2]:
         raise DimensionError(f"matmul inner dims disagree: {a.shape} @ {b.shape}")
-    if counter is not None:
-        counter.add(label, a.shape[0] * a.shape[1] * b.shape[1])
     ad, bd = a.data, b.data
-    return _make(ad @ bd, "matmul", (a, b), lambda g: (g @ bd.T, ad.T @ g))
+    inner = ad.shape[-1]
+    if counter is not None:
+        counter.add(label, ad.size * bd.shape[-1])
+    need_a, need_b = a.requires_grad, b.requires_grad
+    if bd.ndim == 2:
+        flat = ad.reshape(-1, inner)
+        out = (flat @ bd).reshape(ad.shape[:-1] + bd.shape[1:])
+
+        def vjp(g):
+            g_flat = g.reshape(-1, g.shape[-1])
+            ga = (g_flat @ bd.T).reshape(ad.shape) if need_a else None
+            return ga, (flat.T @ g_flat if need_b else None)
+
+    else:
+        out = ad @ bd
+
+        def vjp(g):
+            ga = g @ np.swapaxes(bd, -1, -2) if need_a else None
+            return ga, (np.swapaxes(ad, -1, -2) @ g if need_b else None)
+
+    return _make(out, "matmul", (a, b), vjp)
 
 
 def softmax_rows(x):
-    """Row-wise softmax of a matrix, stabilised by per-row max shift."""
+    """Softmax over the last axis, stabilised by a per-row max shift."""
     x = _as_tensor(x, "softmax_rows")
-    if x.ndim != 2:
-        raise DimensionError(f"softmax_rows expects a matrix, got shape {x.shape}")
-    shifted = x.data - x.data.max(axis=1, keepdims=True)
-    exp = np.exp(shifted)
-    out = exp / exp.sum(axis=1, keepdims=True)
+    if x.ndim < 2:
+        raise DimensionError(f"softmax_rows expects a matrix or a stack, got shape {x.shape}")
+    out = x.data - x.data.max(axis=-1, keepdims=True)
+    np.exp(out, out=out)
+    out /= out.sum(axis=-1, keepdims=True)
 
     def vjp(g):
-        inner = (g * out).sum(axis=1, keepdims=True)
+        inner = (g * out).sum(axis=-1, keepdims=True)
         return (out * (g - inner),)
 
     return _make(out, "softmax_rows", (x,), vjp)
@@ -425,139 +442,168 @@ def softmax_rows(x):
 
 _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_A = 0.044715
+_GELU_3A = 3.0 * _GELU_A
 
 
 def gelu(x):
     """Gaussian error linear unit, tanh form."""
     x = _as_tensor(x, "gelu")
     xd = x.data
-    inner = _GELU_C * (xd + _GELU_A * (xd * xd * xd))
-    th = np.tanh(inner)
+    # In place, with the rounding of 0.5 * x * (1 + tanh(C * (x + A * x**3))).
+    th = xd * xd * xd
+    th *= _GELU_A
+    th += xd
+    th *= _GELU_C
+    np.tanh(th, out=th)
+    out = 0.5 * xd
+    out *= 1.0 + th
 
     def vjp(g):
-        sech2 = 1.0 - th * th
-        d_inner = _GELU_C * (1.0 + 3.0 * _GELU_A * xd * xd)
-        return (g * (0.5 * (1.0 + th) + 0.5 * xd * sech2 * d_inner),)
+        # g * (0.5 (1 + th) + 0.5 x sech^2 C (1 + 3 A x^2)), in place.
+        d_inner = _GELU_3A * xd
+        d_inner *= xd
+        d_inner += 1.0
+        d_inner *= _GELU_C
+        slope = th * th
+        np.subtract(1.0, slope, out=slope)
+        slope *= 0.5 * xd
+        slope *= d_inner
+        gx = 1.0 + th
+        gx *= 0.5
+        gx += slope
+        gx *= g
+        return (gx,)
 
-    return _make(0.5 * xd * (1.0 + th), "gelu", (x,), vjp)
+    return _make(out, "gelu", (x,), vjp)
 
 
 def layer_norm(x, gain, bias, eps=1e-5):
-    """Normalise each row of a matrix to zero mean, unit variance, then
+    """Normalise each row (last axis) to zero mean, unit variance, then
     apply a per-column affine transform."""
     x = _as_tensor(x, "layer_norm")
     gain = _as_tensor(gain, "layer_norm")
     bias = _as_tensor(bias, "layer_norm")
-    if x.ndim != 2:
-        raise DimensionError(f"layer_norm expects a matrix, got shape {x.shape}")
-    cols = x.shape[1]
+    if x.ndim < 2:
+        raise DimensionError(f"layer_norm expects a matrix or a stack, got shape {x.shape}")
+    cols = x.shape[-1]
     if gain.shape != (cols,) or bias.shape != (cols,):
         raise DimensionError(
             f"layer_norm affine shapes {gain.shape}, {bias.shape} do not match {cols} columns"
         )
-    mu = x.data.mean(axis=1, keepdims=True)
+    mu = x.data.mean(axis=-1, keepdims=True)
     centred = x.data - mu
-    var = (centred * centred).mean(axis=1, keepdims=True)
+    var = (centred * centred).mean(axis=-1, keepdims=True)
     inv_std = 1.0 / np.sqrt(var + eps)
     norm = centred * inv_std
     gd = gain.data
 
     def vjp(g):
-        g_norm = g * gd[None, :]
-        term = g_norm - g_norm.mean(axis=1, keepdims=True)
-        term -= norm * (g_norm * norm).mean(axis=1, keepdims=True)
-        return (term * inv_std, (g * norm).sum(axis=0), g.sum(axis=0))
+        g_norm = g * gd
+        term = g_norm - g_norm.mean(axis=-1, keepdims=True)
+        term -= norm * (g_norm * norm).mean(axis=-1, keepdims=True)
+        g_rows = g.reshape(-1, cols)
+        return (term * inv_std, (g_rows * norm.reshape(-1, cols)).sum(axis=0), g_rows.sum(axis=0))
 
-    return _make(norm * gd[None, :] + bias.data[None, :], "layer_norm", (x, gain, bias), vjp)
+    return _make(norm * gd + bias.data, "layer_norm", (x, gain, bias), vjp)
 
 
 # ---------------------------------------------------------------------------
 # spatial ops
 
 
-def _pool_edges(size, bins):
-    # Bin i covers [floor(i*size/bins), ceil((i+1)*size/bins)); edges may
-    # overlap by one element when bins does not divide size.
-    lo = [math.floor(i * size / bins) for i in range(bins)]
-    hi = [math.ceil((i + 1) * size / bins) for i in range(bins)]
-    return lo, hi
+@functools.lru_cache(maxsize=64)
+def _pool_matrix(size, bins):
+    # Row i averages [floor(i*size/bins), ceil((i+1)*size/bins)); bins
+    # overlap by one cell when bins does not divide size. Cached, so
+    # returned read-only.
+    i = np.arange(bins)[:, None]
+    cell = np.arange(size)[None, :]
+    inside = (cell >= i * size // bins) & (cell < -(-(i + 1) * size // bins))
+    weights = inside / inside.sum(axis=1, keepdims=True)
+    weights.flags.writeable = False
+    return weights
+
+
+def _check_image(x, op):
+    if x.ndim < 3:
+        raise DimensionError(f"{op} expects (..., H, W, d) input, got shape {x.shape}")
+    return x.shape[-3:]
 
 
 def adaptive_avg_pool2d(x, out_hw, counter=None, label="pooling"):
-    """Average-pool an H x W x d stack to out_h x out_w x d.
+    """Average-pool a (..., H, W, d) stack to (..., out_h, out_w, d).
 
     Bin i along an axis of length S covers [floor(i*S/b), ceil((i+1)*S/b)),
     so bins tile the input exactly when b divides S and overlap by at most
-    one element otherwise. Each bin's gradient is spread uniformly over
-    the cells it averaged.
+    one element otherwise. Rows and columns are averaged by two fixed
+    matrices applied by matmul, and the VJP applies their transposes, so
+    each bin's gradient is spread uniformly over the cells it averaged.
+    The metered work is one accumulate per input cell, H*W*d per image,
+    whatever the matmuls multiply.
     """
     x = _as_tensor(x, "adaptive_avg_pool2d")
-    if x.ndim != 3:
-        raise DimensionError(f"adaptive_avg_pool2d expects H x W x d input, got shape {x.shape}")
-    height, width, depth = x.shape
+    height, width, depth = _check_image(x, "adaptive_avg_pool2d")
     out_h, out_w = int(out_hw[0]), int(out_hw[1])
     if not (1 <= out_h <= height and 1 <= out_w <= width):
         raise DimensionError(
             f"pool target ({out_h}, {out_w}) invalid for input ({height}, {width})"
         )
     if counter is not None:
-        counter.add(label, height * width * depth)
-    row_lo, row_hi = _pool_edges(height, out_h)
-    col_lo, col_hi = _pool_edges(width, out_w)
-    out = np.empty((out_h, out_w, depth))
-    for i in range(out_h):
-        for j in range(out_w):
-            out[i, j] = x.data[row_lo[i] : row_hi[i], col_lo[j] : col_hi[j]].mean(axis=(0, 1))
+        counter.add(label, x.size)
+    rows, cols = _pool_matrix(height, out_h), _pool_matrix(width, out_w)
+    tall = rows @ x.data.reshape(-1, height, width * depth)
+    out = cols @ tall.reshape(-1, width, depth)
 
     def vjp(g):
-        gx = np.zeros((height, width, depth))
-        for i in range(out_h):
-            for j in range(out_w):
-                count = (row_hi[i] - row_lo[i]) * (col_hi[j] - col_lo[j])
-                gx[row_lo[i] : row_hi[i], col_lo[j] : col_hi[j]] += g[i, j] / count
-        return (gx,)
+        g_tall = cols.T @ g.reshape(-1, out_w, depth)
+        return ((rows.T @ g_tall.reshape(-1, out_h, width * depth)).reshape(x.shape),)
 
-    return _make(out, "adaptive_avg_pool2d", (x,), vjp)
+    return _make(
+        out.reshape(x.shape[:-3] + (out_h, out_w, depth)), "adaptive_avg_pool2d", (x,), vjp
+    )
+
+
+def _neighbourhoods(stack):
+    """(L, H + 2, W + 2, d) padded stack -> (L, H, W, d, 3, 3) view of
+    every cell's 3 x 3 neighbourhood."""
+    return sliding_window_view(stack, (3, 3), axis=(1, 2))
+
+
+def _padded(images, height, width, depth):
+    out = np.zeros((images.size // (height * width * depth), height + 2, width + 2, depth))
+    out[:, 1:-1, 1:-1] = images.reshape(-1, height, width, depth)
+    return out
 
 
 def depthwise_conv3x3(x, kernels, counter=None, label="dwconv"):
-    """Depthwise 3x3 correlation over an H x W x d stack.
+    """Depthwise 3x3 correlation over a (..., H, W, d) stack.
 
     Stride 1, zero padding 1, no bias; channel c is filtered only by
     kernel slice [:, :, c]. All-zero kernels therefore give an all-zero
-    output, which callers use to disable the branch.
+    output, which callers use to disable the branch. Each product runs
+    as one einsum over a strided view of the padded neighbourhoods.
     """
     x = _as_tensor(x, "depthwise_conv3x3")
     kernels = _as_tensor(kernels, "depthwise_conv3x3")
-    if x.ndim != 3:
-        raise DimensionError(f"depthwise_conv3x3 expects H x W x d input, got shape {x.shape}")
-    height, width, depth = x.shape
+    height, width, depth = _check_image(x, "depthwise_conv3x3")
     if kernels.shape != (3, 3, depth):
         raise DimensionError(
             f"kernel shape {kernels.shape} does not match (3, 3, {depth}) for input {x.shape}"
         )
     if counter is not None:
-        counter.add(label, 9 * height * width * depth)
-    padded = np.zeros((height + 2, width + 2, depth))
-    padded[1:-1, 1:-1] = x.data
+        counter.add(label, 9 * x.size)
+    padded = _padded(x.data, height, width, depth)
     kd = kernels.data
-    out = np.zeros((height, width, depth))
-    for a in range(3):
-        for b in range(3):
-            out += padded[a : a + height, b : b + width] * kd[a, b]
+    out = np.einsum("nhwdab,abd->nhwd", _neighbourhoods(padded), kd)
 
     def vjp(g):
-        gk = np.empty((3, 3, depth))
-        g_padded = np.zeros((height + 2, width + 2, depth))
-        g_padded[1:-1, 1:-1] = g
-        gx = np.zeros((height, width, depth))
-        for a in range(3):
-            for b in range(3):
-                gk[a, b] = (padded[a : a + height, b : b + width] * g).sum(axis=(0, 1))
-                gx += g_padded[2 - a : 2 - a + height, 2 - b : 2 - b + width] * kd[a, b]
-        return (gx, gk)
+        # The input gradient correlates g with the flipped kernels.
+        g_padded = _padded(g, height, width, depth)
+        gx = np.einsum("nhwdab,abd->nhwd", _neighbourhoods(g_padded), kd[::-1, ::-1])
+        gk = np.einsum("nhwdab,nhwd->abd", _neighbourhoods(padded), g_padded[:, 1:-1, 1:-1])
+        return (gx.reshape(x.shape), gk)
 
-    return _make(out, "depthwise_conv3x3", (x, kernels), vjp)
+    return _make(out.reshape(x.shape), "depthwise_conv3x3", (x, kernels), vjp)
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from mtat.diffusion import (
 from mtat.errors import ConfigError, DimensionError, DomainError, NumericError, UsageError
 from mtat.redundancy import redundancy_score
 from mtat.scheduler import MediatorSchedule, ScheduleLevel, run_scheduled_sampling
-from mtat.tensor import MacCounter, Tensor, backward
+from mtat.tensor import MacCounter, Tensor, backward, mean_all
 from mtat.attention import FlopsReport
 from mtat.util import stream_rng
 
@@ -233,6 +233,123 @@ def test_model_gradients_match_finite_differences():
         numeric = (up - down) / (2 * eps)
         analytic = model.params[name].grad[idx]
         assert abs(analytic - numeric) <= 1e-4 * max(1.0, abs(numeric)), (name, idx)
+
+
+# ---------------------------------------------------------------------------
+# one forward per batch
+
+# float64 carries ~1.1e-16 relative error per rounding; batching changes
+# only the order of a few sums, so 1e-12 leaves four orders of headroom
+# and still catches a sample or head read from the wrong slot.
+BATCH_RTOL = 1e-12
+
+
+def randomised_default_model(seed=5):
+    """Default-config model with every weight drawn at random, including
+    the head and depthwise kernels that start at zero."""
+    model = ToyDiffusionModel(ToyModelConfig(), seed=seed)
+    rng = stream_rng(seed, "test-weights")
+    for name, param in model.params.items():
+        model.params[name] = Tensor(
+            param.data + 0.3 * rng.standard_normal(param.shape), requires_grad=True
+        )
+    return model
+
+
+def batch_inputs(cfg, size, seed=6):
+    rng = stream_rng(seed, "test-batch")
+    images = rng.standard_normal((size, cfg.grid_h, cfg.grid_w, cfg.channels))
+    labels = np.arange(size) % cfg.classes
+    times = rng.uniform(0.0, 1.0, size)
+    noises = [rng.standard_normal(img.shape) for img in images]
+    return images, labels, times, noises
+
+
+def relative_gap(got, want):
+    return float(np.max(np.abs(got - want))) / max(float(np.max(np.abs(want))), 1e-300)
+
+
+@pytest.mark.parametrize("count", [4, 16, 64])
+def test_batched_forward_equals_single_sample_forwards(count):
+    model = randomised_default_model()
+    cfg = model.cfg
+    images, labels, times, _ = batch_inputs(cfg, 5)
+    tokens = np.stack([tokens_from_image(img, cfg) for img in images])
+    batched, _ = model.forward(tokens, times, labels, mediator_count=count)
+    single = np.stack([
+        model.forward(tokens[b], times[b], labels[b], mediator_count=count)[0].data
+        for b in range(len(tokens))
+    ])
+    assert batched.shape == single.shape == (5, cfg.n_tokens, cfg.channels)
+    assert relative_gap(batched.data, single) <= BATCH_RTOL
+
+
+def test_batched_forward_captures_every_sample_head():
+    model = randomised_default_model()
+    cfg = model.cfg
+    images, labels, times, _ = batch_inputs(cfg, 3)
+    tokens = np.stack([tokens_from_image(img, cfg) for img in images])
+    _, (full, mediated) = model.forward(tokens, times, labels, capture=True)
+    assert full.head_count == mediated.head_count == 3 * cfg.heads
+    _, (full1, mediated1) = model.forward(tokens[1], times[1], labels[1], capture=True)
+    for h in range(cfg.heads):
+        i = cfg.heads + h  # sample 1, head h
+        assert relative_gap(full.heads[i], full1.heads[h]) <= BATCH_RTOL
+        assert relative_gap(mediated.query_to_mediator[i], mediated1.query_to_mediator[h]) <= BATCH_RTOL
+
+
+def test_batched_forward_rejects_mismatched_batches():
+    model = randomised_default_model()
+    cfg = model.cfg
+    tokens = np.zeros((3, cfg.n_tokens, cfg.channels))
+    with pytest.raises(DimensionError):
+        model.forward(tokens, [0.1, 0.2, 0.3], [0, 1])
+    with pytest.raises(DimensionError):
+        model.forward(tokens[:2], [0.1, 0.2, 0.3], [0, 1, 2])
+    with pytest.raises(DomainError):
+        model.forward(tokens, [0.1, 1.2, 0.3], [0, 1, 2])
+
+
+def test_batch_loss_and_gradients_equal_the_per_sample_mean():
+    model = randomised_default_model()
+    cfg = model.cfg
+    images, labels, times, noises = batch_inputs(cfg, 6)
+
+    total = None
+    for image, label, t, eps in zip(images, labels, times, noises):
+        x_t, v_target = interpolate(image, eps, t)
+        pred, _ = model.forward(tokens_from_image(x_t, cfg), float(t), int(label))
+        diff = pred - Tensor(tokens_from_image(v_target, cfg))
+        err = mean_all(diff * diff)
+        total = err if total is None else total + err
+    reference = total * (1.0 / len(images))
+    want = {name: grad.copy() for name, grad in zip(model.params, _grads(model, reference))}
+
+    loss = batch_loss(model, images, labels, times, noises)
+    got = dict(zip(model.params, _grads(model, loss)))
+    assert abs(loss.item() - reference.item()) <= BATCH_RTOL * abs(reference.item())
+    for name in model.params:
+        assert relative_gap(got[name], want[name]) <= BATCH_RTOL, name
+
+
+def _grads(model, loss):
+    backward(loss)
+    return [param.grad for param in model.params.values()]
+
+
+def test_default_batch_tapes_at_most_150_records():
+    cfg = ToyModelConfig()
+    model = ToyDiffusionModel(cfg, seed=0)
+    images, labels, times, noises = batch_inputs(cfg, 8)
+    loss = batch_loss(model, images, labels, times, noises)
+    seen, stack = set(), [loss]
+    while stack:
+        node = stack.pop()
+        if node._record is None or id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.extend(node._record.parents)
+    assert len(seen) <= 150
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,8 @@ from mtat.errors import (
     DimensionError,
     DomainError,
     NumericError,
+    UsageError,
 )
-from mtat.diffusion import ScriptedBundle
 from mtat.scheduler import (
     LatentTrace,
     MediatorSchedule,
@@ -222,6 +222,32 @@ def test_strictly_decreasing_deltas_visit_every_level():
 
 # ---------------------------------------------------------------------------
 # the sampling loop against a scripted bundle
+
+
+class ScriptedBundle:
+    """Bundle whose per-step displacement follows a given script.
+
+    The velocity is a constant field sized so step k moves the latent by
+    exactly ``deltas[k]`` under both distance metrics, which exercises
+    schedules without a trained model.
+    """
+
+    def __init__(self, deltas, attn_cfg, steps, default_count=1):
+        self.deltas = [float(d) for d in deltas]
+        self.attn_cfg = attn_cfg
+        self.steps = int(steps)
+        self.default_count = int(default_count)
+        self._step = 0
+
+    def velocity(self, x, t, count):
+        if self._step >= len(self.deltas):
+            raise UsageError(f"scripted bundle ran out of deltas at step {self._step}")
+        magnitude = self.deltas[self._step] * self.steps
+        self._step += 1
+        return np.full_like(x, magnitude)
+
+    def step_flops(self, count):
+        return mediator_flops(self.attn_cfg, count)
 
 
 def scripted(deltas, steps, default_count=1):

@@ -12,7 +12,6 @@ from mtat.tensor import (
     adaptive_avg_pool2d,
     add,
     backward,
-    concat_cols,
     depthwise_conv3x3,
     embedding_row,
     finite_diff_grad,
@@ -25,7 +24,6 @@ from mtat.tensor import (
     reshape,
     scale,
     shift,
-    slice_cols,
     softmax_rows,
     sub,
     sum_all,
@@ -185,6 +183,42 @@ def test_pool_target_exceeding_source_is_an_error():
         adaptive_avg_pool2d(Tensor(np.zeros((2, 2, 1))), (3, 2))
 
 
+def loop_pool(image, out_h, out_w):
+    """Bin-by-bin Python reference: bin i of an axis of length S averages
+    [floor(i S / b), ceil((i + 1) S / b))."""
+    height, width, depth = image.shape
+    out = np.empty((out_h, out_w, depth))
+    for i in range(out_h):
+        r0, r1 = math.floor(i * height / out_h), math.ceil((i + 1) * height / out_h)
+        for j in range(out_w):
+            c0, c1 = math.floor(j * width / out_w), math.ceil((j + 1) * width / out_w)
+            out[i, j] = image[r0:r1, c0:c1].mean(axis=(0, 1))
+    return out
+
+
+@pytest.mark.parametrize("shape, target", [((7, 5, 3), (3, 2)), ((8, 8, 2), (3, 3))])
+def test_pool_matches_bin_loop_on_non_dividing_grids(shape, target):
+    rng = np.random.default_rng(31)
+    image = rng.standard_normal(shape)
+    want = loop_pool(image, *target)
+    # float64 rounding of a sum of at most 16 terms: 1e-12 is ample.
+    assert np.max(np.abs(adaptive_avg_pool2d(Tensor(image), target).data - want)) <= 1e-12
+    stack = rng.standard_normal((4,) + shape)
+    got = adaptive_avg_pool2d(Tensor(stack), target).data
+    assert got.shape == (4,) + target + shape[-1:]
+    for b in range(4):
+        assert np.max(np.abs(got[b] - loop_pool(stack[b], *target))) <= 1e-12
+
+
+def test_pool_meters_one_accumulate_per_input_cell():
+    height, width, depth, batch = 7, 5, 3, 4
+    counter = MacCounter()
+    adaptive_avg_pool2d(Tensor(np.ones((batch, height, width, depth))), (3, 2), counter)
+    assert counter.get("pooling") == batch * height * width * depth
+    # not the separable matmuls' multiply count
+    assert counter.get("pooling") != batch * depth * (3 * height * width + 3 * 2 * width)
+
+
 # ---------------------------------------------------------------------------
 # depthwise conv
 
@@ -317,10 +351,6 @@ def test_grad_elementwise_and_shape_ops():
     gradcheck(weighted_loss(lambda t: shift(t, 0.3), w34), x)
     gradcheck(weighted_loss(lambda t: reshape(t, (4, 3)), w43), x)
     gradcheck(weighted_loss(lambda t: transpose(t), w43), x)
-    gradcheck(weighted_loss(lambda t: slice_cols(t, 1, 3), w34[:, 1:3]), x)
-    gradcheck(
-        weighted_loss(lambda t: concat_cols([t, other]), np.hstack([w34, w34])), x
-    )
     gradcheck(lambda t: sum_all(t), x)
     gradcheck(lambda t: mean_all(t), x)
     gradcheck(weighted_loss(lambda t: embedding_row(t, 2), w34[0]), x)
@@ -368,6 +398,83 @@ def test_grad_spatial_ops():
         weighted_loss(lambda k: depthwise_conv3x3(fixed, k), w_k),
         rng.uniform(-1.0, 1.0, size=(3, 3, 2)),
     )
+
+
+def test_grad_batched_ops():
+    rng = np.random.default_rng(26)
+    x = rng.uniform(-2.0, 2.0, size=(2, 3, 4))
+    w = rng.uniform(-2.0, 2.0, size=(2, 3, 4))
+    right = Tensor(rng.uniform(-2.0, 2.0, size=(4, 5)))
+    stacked = Tensor(rng.uniform(-2.0, 2.0, size=(2, 4, 3)))
+    per_sample = Tensor(rng.uniform(-2.0, 2.0, size=(2, 1, 4)))
+    gradcheck(weighted_loss(lambda t: matmul(t, right), rng.uniform(-2.0, 2.0, (2, 3, 5))), x)
+    gradcheck(weighted_loss(lambda t: matmul(t, stacked), rng.uniform(-2.0, 2.0, (2, 3, 3))), x)
+    gradcheck(weighted_loss(lambda t: matmul(stacked, t), rng.uniform(-2.0, 2.0, (2, 4, 4))), x)
+    gradcheck(weighted_loss(lambda t: add(t, per_sample), w), x)
+    gradcheck(
+        weighted_loss(lambda t: add(Tensor(x), t), w), rng.uniform(-2.0, 2.0, size=(2, 1, 4))
+    )
+    gradcheck(weighted_loss(lambda t: transpose(t), np.swapaxes(w, 1, 2)), x)
+    gradcheck(weighted_loss(lambda t: transpose(t, (1, 2, 0)), w.transpose(1, 2, 0)), x)
+    gradcheck(weighted_loss(softmax_rows, w), x)
+    gain = Tensor(rng.uniform(0.5, 1.5, size=4))
+    bias = Tensor(rng.uniform(-0.5, 0.5, size=4))
+    gradcheck(weighted_loss(lambda t: layer_norm(t, gain, bias), w), x)
+    fixed = Tensor(x)
+    gradcheck(weighted_loss(lambda g: layer_norm(fixed, g, bias), w), gain.data)
+    # rows 2 and 0 picked twice: their gradients add up
+    index = np.array([[2, 0], [2, 0], [1, 3]])
+    w_rows = rng.uniform(-2.0, 2.0, size=(3, 2, 4))
+    gradcheck(weighted_loss(lambda t: embedding_row(t, index), w_rows), rng.uniform(-2.0, 2.0, (4, 4)))
+
+
+def test_grad_batched_spatial_ops():
+    rng = np.random.default_rng(27)
+    x = rng.uniform(-2.0, 2.0, size=(2, 7, 5, 2))
+    gradcheck(
+        weighted_loss(lambda t: adaptive_avg_pool2d(t, (3, 2)), rng.uniform(-2.0, 2.0, (2, 3, 2, 2))),
+        x,
+    )
+    kernels = Tensor(rng.uniform(-1.0, 1.0, size=(3, 3, 2)))
+    w_conv = rng.uniform(-2.0, 2.0, size=x.shape)
+    gradcheck(weighted_loss(lambda t: depthwise_conv3x3(t, kernels), w_conv), x)
+    fixed = Tensor(x)
+    gradcheck(
+        weighted_loss(lambda k: depthwise_conv3x3(fixed, k), w_conv),
+        rng.uniform(-1.0, 1.0, size=(3, 3, 2)),
+    )
+
+
+def test_batched_ops_equal_their_per_sample_results():
+    rng = np.random.default_rng(28)
+    x = rng.standard_normal((3, 6, 5, 4))
+    kernels = Tensor(rng.standard_normal((3, 3, 4)))
+    right = Tensor(rng.standard_normal((4, 2)))
+    for op in (
+        lambda t: depthwise_conv3x3(t, kernels),
+        lambda t: adaptive_avg_pool2d(t, (4, 3)),
+        lambda t: matmul(t, right),
+        softmax_rows,
+        gelu,
+    ):
+        batched = op(Tensor(x)).data
+        for b in range(3):
+            assert np.max(np.abs(batched[b] - op(Tensor(x[b])).data)) <= 1e-12
+
+
+def test_batched_shape_errors():
+    with pytest.raises(DimensionError):
+        matmul(Tensor(np.ones((2, 3, 4))), Tensor(np.ones((3, 4, 5))))
+    with pytest.raises(DimensionError):
+        add(Tensor(np.ones((2, 3, 4))), Tensor(np.ones((3, 1, 4))))
+    with pytest.raises(DimensionError):
+        add(Tensor(np.ones((1, 3, 4))), Tensor(np.ones((2, 3, 4))))
+    with pytest.raises(DimensionError):
+        transpose(Tensor(np.ones((2, 3, 4))), (0, 0, 1))
+    with pytest.raises(DimensionError):
+        embedding_row(Tensor(np.ones((3, 2))), np.array([0, 3]))
+    with pytest.raises(DimensionError):
+        embedding_row(Tensor(np.ones((3, 2))), np.array([0.0, 1.0]))
 
 
 def test_grad_composite_chain():
