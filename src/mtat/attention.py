@@ -23,11 +23,10 @@ from .tensor import (
     Tensor,
     add,
     adaptive_avg_pool2d,
+    attend,
     depthwise_conv3x3,
     matmul,
     reshape,
-    scale,
-    softmax_rows,
     transpose,
 )
 
@@ -140,11 +139,12 @@ def _check_rows_stochastic(array, what):
 
 
 def _map_stack(arrays, what):
-    """One float64 copy of equal-shape per-head matrices, (heads, rows, cols)."""
+    """Equal-shape per-head matrices as one float64 (heads, rows, cols)
+    stack: a float64 array as it is, a list stacked into a new array."""
     if len(arrays) == 0:
         raise UsageError(f"{what} need at least one per-head array")
     try:
-        stack = np.array(arrays, dtype=np.float64)
+        stack = np.asarray(arrays, dtype=np.float64)
     except ValueError as exc:
         raise DimensionError(f"{what} differ in shape from head to head") from exc
     if stack.ndim != 3:
@@ -159,7 +159,9 @@ class AttentionMaps:
     query-to-mediator map and an n x N mediator-to-key map per head).
     Each stage takes a list of equal-shape per-head arrays or one
     (heads, rows, cols) array and is kept as a list of per-head views
-    of one detached copy; construction checks row-stochasticity.
+    of one stack. A float64 array is not copied, so the maps captured
+    from a forward are read-only views of the forward's own arrays.
+    Construction checks row-stochasticity.
     """
 
     __slots__ = ("kind", "heads", "query_to_mediator", "mediator_to_key")
@@ -253,32 +255,14 @@ def _merge_heads(x):
     return reshape(transpose(x, _head_axes(len(lead))), (*lead, tokens, heads * dim))
 
 
-def _check_head_shapes(q, k, v):
-    if (
-        min(q.ndim, k.ndim, v.ndim) < 2
-        or q.shape[-1] != k.shape[-1]
-        or k.shape[-2] != v.shape[-2]
-        or not q.shape[:-2] == k.shape[:-2] == v.shape[:-2]
-    ):
-        raise DimensionError(
-            f"attention head shapes disagree: q {q.shape}, k {k.shape}, v {v.shape}"
-        )
-
-
 def vanilla_attention_head(q, k, v, counter=None):
     """Attention softmax(q k^T / sqrt(d)) v for one head, or for a stack
     of heads (and samples) on the leading axes.
 
-    Returns the head output and the attention map tensor.
+    Returns the head output and the attention map, a record-less tensor
+    over a read-only array.
     """
-    _check_head_shapes(q, k, v)
-    dim = q.shape[-1]
-    # Scaling the N x d queries, not the N x N scores, keeps one N x N
-    # array fewer on the tape.
-    scores = matmul(scale(q, 1.0 / math.sqrt(dim)), transpose(k), counter, LABEL_INTERACTION)
-    attn = softmax_rows(scores)
-    out = matmul(attn, v, counter, LABEL_INTERACTION)
-    return out, attn
+    return attend(q, k, v, 1.0 / math.sqrt(q.shape[-1]), counter, LABEL_INTERACTION)
 
 
 def multi_head_attention(z, params, cfg, counter=None):
@@ -321,22 +305,17 @@ def mediator_attention_head(q, k, v, mediators, counter=None):
     samples) on the leading axes.
 
     Stage one compresses the values: the mediators attend over the keys.
-    Stage two answers the queries against that compressed table. Returns
-    the head output plus both stage maps.
+    Stage two answers the queries against that compressed table. Each
+    stage is one ``attend`` op. Returns the head output plus both stage
+    maps, record-less tensors over read-only arrays.
     """
-    _check_head_shapes(q, k, v)
     if mediators.shape[:-2] != q.shape[:-2] or mediators.shape[-1] != q.shape[-1]:
         raise DimensionError(
             f"mediator shape {mediators.shape} does not match queries {q.shape}"
         )
-    dim = q.shape[-1]
-    inv_sqrt = 1.0 / math.sqrt(dim)
-    med_scores = scale(matmul(mediators, transpose(k), counter, LABEL_INTERACTION), inv_sqrt)
-    med_to_key = softmax_rows(med_scores)
-    v_med = matmul(med_to_key, v, counter, LABEL_INTERACTION)
-    query_scores = scale(matmul(q, transpose(mediators), counter, LABEL_INTERACTION), inv_sqrt)
-    query_to_med = softmax_rows(query_scores)
-    out = matmul(query_to_med, v_med, counter, LABEL_INTERACTION)
+    inv_sqrt = 1.0 / math.sqrt(q.shape[-1])
+    v_med, med_to_key = attend(mediators, k, v, inv_sqrt, counter, LABEL_INTERACTION)
+    out, query_to_med = attend(q, mediators, v_med, inv_sqrt, counter, LABEL_INTERACTION)
     return out, query_to_med, med_to_key
 
 

@@ -50,6 +50,9 @@ from .tensor import MacCounter, Tensor, no_grad
 from .util import child_seed, stream_rng, write_text_atomic
 
 _META_KEYS = ("command", "invocation")
+# `mtat bench` reports the median wall time of this many calls per
+# (kind, N), after one untimed warm-up call.
+BENCH_REPEATS = 3
 
 
 def default_config():
@@ -461,22 +464,31 @@ def cmd_bench(args):
         params = MultiHeadParams.random(rng, channels, requires_grad=False)
         mcfg = MediatorConfig.from_count(mediators, cfg)
         for kind in ("vanilla", "mediator"):
+
+            def call(counter=None):
+                with no_grad():
+                    if kind == "vanilla":
+                        multi_head_attention(z, params, cfg, counter)
+                    else:
+                        mediator_attention(z, params, cfg, mcfg, dw_kernels=None, counter=counter)
+
+            # The untimed warm-up call meters the MACs.
             counter = MacCounter()
-            start = time.perf_counter()
-            with no_grad():
-                if kind == "vanilla":
-                    multi_head_attention(z, params, cfg, counter)
-                else:
-                    mediator_attention(z, params, cfg, mcfg, dw_kernels=None, counter=counter)
-            elapsed = time.perf_counter() - start
+            call(counter)
+            walls = []
+            for _ in range(BENCH_REPEATS):
+                start = time.perf_counter()
+                call()
+                walls.append(time.perf_counter() - start)
+            elapsed = float(np.median(walls))
             report = FlopsReport.from_counter(counter)
             rows.append((kind, n_tokens, report.interaction, report.total_macs, elapsed))
             print(
                 f"{kind:8s} N={n_tokens:5d}: interaction {report.interaction} MACs, "
-                f"wall {elapsed:.4f} s"
+                f"wall {elapsed:.4f} s (median of {BENCH_REPEATS})"
             )
 
-    summary = {}
+    summary = {"repeats": BENCH_REPEATS}
     for kind in ("vanilla", "mediator"):
         ns = np.array([r[1] for r in rows if r[0] == kind], dtype=np.float64)
         macs = np.array([r[2] for r in rows if r[0] == kind], dtype=np.float64)

@@ -80,6 +80,33 @@ def _check_finite(arr, op):
         raise NumericError(f"{op} produced non-finite values")
 
 
+@functools.lru_cache(maxsize=64)
+def _constant_column(size, value):
+    column = np.full(size, value)
+    column.flags.writeable = False
+    return column
+
+
+def _row_dot(x, value):
+    """``value`` times the sums over the last axis, which is kept, as one
+    GEMV by a cached constant column: numpy's reductions over a short
+    last axis cost several times as much."""
+    cols = x.shape[-1]
+    return (x.reshape(-1, cols) @ _constant_column(cols, value)).reshape(x.shape[:-1] + (1,))
+
+
+def _row_max(x):
+    """Maxima over the last axis, which is kept. Up to 16 columns are
+    folded one by one, which beats numpy's per-row max reduction."""
+    cols = x.shape[-1]
+    if cols > 16:
+        return x.max(axis=-1, keepdims=True)
+    out = x[..., :1].copy()
+    for j in range(1, cols):
+        np.maximum(out, x[..., j : j + 1], out=out)
+    return out
+
+
 class Tensor:
     """A float64 ndarray plus an optional tape record.
 
@@ -440,6 +467,61 @@ def softmax_rows(x):
     return _make(out, "softmax_rows", (x,), vjp)
 
 
+def attend(q, k, v, factor, counter=None, label="attend"):
+    """Attention softmax(factor * q k^T) v over the last two axes, as one op.
+
+    ``q`` is (..., m, d), ``k`` (..., n, d) and ``v`` (..., n, e), with
+    equal leading axes. Returns the (..., m, e) output and the (..., m, n)
+    attention map. The map is a record-less tensor over a read-only array
+    that the VJP also reads: copy it before mutating. The scores are
+    written once, from the scaled q times a transposed view of k, and
+    normalised in place; the tape keeps the map, not the scores. When
+    ``counter`` is given, the two products' m*n*d + m*n*e multiply-
+    accumulates are added under ``label``; backward work is not metered.
+    Parents that do not require grad get no gradient product.
+    """
+    q = _as_tensor(q, "attend")
+    k = _as_tensor(k, "attend")
+    v = _as_tensor(v, "attend")
+    if (
+        min(q.ndim, k.ndim, v.ndim) < 2
+        or q.shape[-1] != k.shape[-1]
+        or k.shape[-2] != v.shape[-2]
+        or not q.shape[:-2] == k.shape[:-2] == v.shape[:-2]
+    ):
+        raise DimensionError(f"attend shapes disagree: q {q.shape}, k {k.shape}, v {v.shape}")
+    qd, kd, vd = q.data, k.data, v.data
+    factor = float(factor)
+    if counter is not None:
+        counter.add(label, math.prod(q.shape[:-1]) * k.shape[-2] * (q.shape[-1] + v.shape[-1]))
+    # Scaling the m x d queries costs less than scaling the m x n scores.
+    attn = (qd * factor) @ np.swapaxes(kd, -1, -2)
+    attn -= _row_max(attn)
+    np.exp(attn, out=attn)
+    attn *= 1.0 / _row_dot(attn, 1.0)
+    attn.flags.writeable = False
+    out = attn @ vd
+    need_q, need_k, need_v = q.requires_grad, k.requires_grad, v.requires_grad
+
+    def vjp(g):
+        g_v = np.swapaxes(attn, -1, -2) @ g if need_v else None
+        if not (need_q or need_k):
+            return None, None, g_v
+        # g_s = factor * attn * (g v^T - rowsum(g v^T * attn)); the row
+        # sum equals rowsum(g * out), which needs no m x n temporary.
+        g_s = g @ np.swapaxes(vd, -1, -2)
+        g_s -= _row_dot(g * out, 1.0)
+        g_s *= attn
+        g_s *= factor
+        g_q = g_s @ kd if need_q else None
+        g_k = np.swapaxes(g_s, -1, -2) @ qd if need_k else None
+        return g_q, g_k, g_v
+
+    # Both results are checked for non-finite values; the map takes no
+    # parents, so it gets no record.
+    return _make(out, "attend", (q, k, v), vjp), _make(attn, "attend", (), None)
+
+
 _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_A = 0.044715
 _GELU_3A = 3.0 * _GELU_A
@@ -490,17 +572,17 @@ def layer_norm(x, gain, bias, eps=1e-5):
         raise DimensionError(
             f"layer_norm affine shapes {gain.shape}, {bias.shape} do not match {cols} columns"
         )
-    mu = x.data.mean(axis=-1, keepdims=True)
-    centred = x.data - mu
-    var = (centred * centred).mean(axis=-1, keepdims=True)
+    inv_cols = 1.0 / cols
+    centred = x.data - _row_dot(x.data, inv_cols)
+    var = _row_dot(centred * centred, inv_cols)
     inv_std = 1.0 / np.sqrt(var + eps)
     norm = centred * inv_std
     gd = gain.data
 
     def vjp(g):
         g_norm = g * gd
-        term = g_norm - g_norm.mean(axis=-1, keepdims=True)
-        term -= norm * (g_norm * norm).mean(axis=-1, keepdims=True)
+        term = g_norm - _row_dot(g_norm, inv_cols)
+        term -= norm * _row_dot(g_norm * norm, inv_cols)
         g_rows = g.reshape(-1, cols)
         return (term * inv_std, (g_rows * norm.reshape(-1, cols)).sum(axis=0), g_rows.sum(axis=0))
 

@@ -123,6 +123,33 @@ def test_mediator_config_from_count():
 def test_attention_maps_reject_non_stochastic_rows():
     with pytest.raises(NumericError):
         AttentionMaps.full([np.array([[0.5, 0.2], [0.5, 0.5]])])
+    with pytest.raises(NumericError):
+        AttentionMaps.full(np.array([[[0.5, 0.2], [0.5, 0.5]]]))
+
+
+def test_attention_maps_share_an_array_stack_and_copy_lists():
+    stack = np.full((2, 3, 3), 1.0 / 3.0)
+    maps = AttentionMaps.full(stack)
+    assert all(np.shares_memory(head, stack) for head in maps.heads)
+    qt, tk = np.full((2, 3, 2), 0.5), np.full((2, 2, 3), 1.0 / 3.0)
+    mediated = AttentionMaps.mediated(qt, tk)
+    assert np.shares_memory(mediated.query_to_mediator[1], qt)
+    assert np.shares_memory(mediated.mediator_to_key[1], tk)
+    listed = AttentionMaps.full(list(stack))
+    assert listed.head_count == 2
+    assert not np.shares_memory(listed.heads[0], stack)
+    assert np.array_equal(listed.heads[1], stack[1])
+
+
+def test_captured_maps_are_read_only():
+    cfg = AttentionConfig.square(16, 8, 2)
+    rng = np.random.default_rng(59)
+    z, params = random_setup(rng, cfg)
+    _, full = multi_head_attention(z, params, cfg)
+    _, mediated = mediator_attention(z, params, cfg, MediatorConfig(2, 2))
+    for head in (full.heads[1], mediated.query_to_mediator[0], mediated.mediator_to_key[1]):
+        with pytest.raises(ValueError):
+            head[0, 0] = 0.5
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import mtat
-from mtat.cli import main
+from mtat.cli import BENCH_REPEATS, main
 from mtat.diffusion import (
     ModelBundle,
     ToyDiffusionModel,
@@ -397,6 +397,15 @@ def test_bench_exponents_and_degenerate_count(tmp_path, config_path):
     by_kind = {r[0]: int(r[2]) for r in rows}
     assert by_kind["mediator"] == 4 * 16 * 16 * 8
     assert by_kind["mediator"] == 2 * by_kind["vanilla"]
+
+
+def test_bench_records_its_repeats(tmp_path, config_path):
+    out = tmp_path / "run"
+    assert main(["bench", "--config", config_path, "--sizes", "16", "--out", str(out)]) == 0
+    assert json.loads((out / "bench.json").read_text())["repeats"] == BENCH_REPEATS == 3
+    _, rows = read_csv(out / "bench.csv")
+    assert [r[0] for r in rows] == ["vanilla", "mediator"]
+    assert all(float(r[4]) > 0.0 for r in rows)
 
 
 # ---------------------------------------------------------------------------

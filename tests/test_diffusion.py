@@ -352,6 +352,25 @@ def test_default_batch_tapes_at_most_150_records():
     assert len(seen) <= 150
 
 
+def taped_records(output):
+    seen, stack = set(), [output]
+    while stack:
+        node = stack.pop()
+        if node._record is None or id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.extend(node._record.parents)
+    return len(seen)
+
+
+def test_default_batch_tapes_one_record_per_attention_product():
+    # Each softmax-attention product is one fused record.
+    cfg = ToyModelConfig()
+    model = ToyDiffusionModel(cfg, seed=0)
+    images, labels, times, noises = batch_inputs(cfg, 8)
+    assert taped_records(batch_loss(model, images, labels, times, noises)) <= 66
+
+
 # ---------------------------------------------------------------------------
 # optimiser and training
 

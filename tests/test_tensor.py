@@ -11,6 +11,7 @@ from mtat.tensor import (
     Tensor,
     adaptive_avg_pool2d,
     add,
+    attend,
     backward,
     depthwise_conv3x3,
     embedding_row,
@@ -489,3 +490,129 @@ def test_grad_composite_chain():
         return mean_all(mul(h, h))
 
     gradcheck(f, x)
+
+
+def test_layer_norm_matches_the_mean_formula():
+    # Means run as GEMVs; the reference takes numpy means over the last axis.
+    rng = np.random.default_rng(29)
+    for shape in ((8, 64, 16), (3, 5, 7)):
+        x = rng.standard_normal(shape) * 3.0 + 1.0
+        g = rng.standard_normal(shape)
+        gain, bias = rng.uniform(0.5, 1.5, shape[-1]), rng.uniform(-0.5, 0.5, shape[-1])
+        centred = x - x.mean(axis=-1, keepdims=True)
+        inv_std = 1.0 / np.sqrt((centred * centred).mean(axis=-1, keepdims=True) + 1e-5)
+        norm = centred * inv_std
+        g_norm = g * gain
+        want_gx = inv_std * (
+            g_norm
+            - g_norm.mean(axis=-1, keepdims=True)
+            - norm * (g_norm * norm).mean(axis=-1, keepdims=True)
+        )
+        xt = Tensor(x, requires_grad=True)
+        out = layer_norm(xt, Tensor(gain), Tensor(bias))
+        backward(out, seed=g)
+        want = norm * gain + bias
+        assert np.max(np.abs(out.data - want)) <= 1e-12 * np.max(np.abs(want))
+        assert np.max(np.abs(xt.grad - want_gx)) <= 1e-12 * np.max(np.abs(want_gx))
+
+
+# ---------------------------------------------------------------------------
+# attend
+
+
+def unfused_attention(q, k, v, factor):
+    return matmul(softmax_rows(scale(matmul(q, transpose(k)), factor)), v)
+
+
+def test_attend_equals_the_unfused_chain():
+    rng = np.random.default_rng(30)
+    for lead in ((), (2, 3)):
+        arrays = [rng.standard_normal(lead + shape) for shape in ((5, 4), (6, 4), (6, 3))]
+        w = rng.standard_normal(lead + (5, 3))
+        results = []
+        for fused in (True, False):
+            q, k, v = (Tensor(a, requires_grad=True) for a in arrays)
+            out, attn = attend(q, k, v, 0.7) if fused else (unfused_attention(q, k, v, 0.7), None)
+            backward(sum_all(mul(out, Tensor(w))))
+            results.append((out.data, attn, q.grad, k.grad, v.grad))
+        fused, unfused = results
+        q, k = Tensor(arrays[0]), Tensor(arrays[1])
+        want_attn = softmax_rows(scale(matmul(q, transpose(k)), 0.7))
+        assert fused[1].shape == lead + (5, 6)
+        assert np.max(np.abs(fused[1].data - want_attn.data)) <= 1e-12
+        for got, want in zip(fused[:1] + fused[2:], unfused[:1] + unfused[2:]):
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-12
+
+
+def test_attend_map_is_read_only_and_record_less():
+    rng = np.random.default_rng(31)
+    q, k, v = (Tensor(rng.standard_normal((2, 4, 3)), requires_grad=True) for _ in range(3))
+    out, attn = attend(q, k, v, 0.5)
+    assert out._record is not None
+    assert attn._record is None and not attn.requires_grad
+    with pytest.raises(ValueError):
+        attn.data[0, 0, 0] = 1.0
+    assert np.max(np.abs(attn.data.sum(axis=-1) - 1.0)) <= 1e-12
+
+
+def test_attend_shifts_every_row_by_its_max():
+    # One key per row scores 800 above the rest; without the row max
+    # shift exp would overflow. Widths cover both row-max paths.
+    for width in (1, 3, 16, 17, 40):
+        for hot in sorted({0, width // 2, width - 1}):
+            keys = np.zeros((2, width, 1))
+            keys[0, hot, 0], keys[1, hot, 0] = 800.0, -800.0
+            out, attn = attend(Tensor(np.ones((2, 3, 1))), Tensor(keys), Tensor(keys), 1.0)
+            want = np.zeros(width)
+            want[hot] = 1.0
+            assert np.array_equal(attn.data[0], np.tile(want, (3, 1)))
+            assert np.max(np.abs(attn.data[1].sum(axis=-1) - 1.0)) <= 1e-12
+            assert np.array_equal(out.data[0], np.full((3, 1), 800.0))
+
+
+def test_grad_attend():
+    rng = np.random.default_rng(32)
+    q, k, v = (rng.uniform(-2.0, 2.0, size=(2, 3, n, 2)) for n in (4, 5, 5))
+    w = rng.uniform(-2.0, 2.0, size=(2, 3, 4, 2))
+    fixed_q, fixed_k, fixed_v = Tensor(q), Tensor(k), Tensor(v)
+    square_v = Tensor(v[:, :, :4])
+    gradcheck(weighted_loss(lambda t: attend(t, fixed_k, fixed_v, 0.8)[0], w), q)
+    gradcheck(weighted_loss(lambda t: attend(fixed_q, t, fixed_v, 0.8)[0], w), k)
+    gradcheck(weighted_loss(lambda t: attend(fixed_q, fixed_k, t, 0.8)[0], w), v)
+    # One tensor as queries and keys gets both gradients.
+    gradcheck(weighted_loss(lambda t: attend(t, t, square_v, 0.8)[0], w), q)
+
+
+def test_attend_skips_gradients_of_constant_parents():
+    rng = np.random.default_rng(33)
+    q = Tensor(rng.standard_normal((3, 4, 2)), requires_grad=True)
+    k, v = Tensor(rng.standard_normal((3, 5, 2))), Tensor(rng.standard_normal((3, 5, 2)))
+    out, _ = attend(q, k, v, 1.0)
+    assert out._record.vjp(np.ones(out.shape))[1:] == (None, None)
+    leaves = backward(sum_all(out))
+    assert list(leaves) == [q]
+    assert k.grad is None and v.grad is None
+
+
+def test_attend_meters_the_two_products():
+    rng = np.random.default_rng(34)
+    q, k, v = (Tensor(rng.standard_normal((2, 3, n, d))) for n, d in ((5, 4), (6, 4), (6, 7)))
+    fused, chain = MacCounter(), MacCounter()
+    attend(q, k, v, 0.5, fused, "interaction")
+    scores = matmul(q, transpose(k), chain, "interaction")
+    matmul(softmax_rows(scores), v, chain, "interaction")
+    assert fused.counts == chain.counts == {"interaction": 2 * 3 * 5 * 6 * (4 + 7)}
+
+
+def test_attend_rejects_non_finite_results_and_bad_shapes():
+    huge = Tensor(np.full((2, 3), 1e200))
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericError):
+        attend(huge, huge, Tensor(np.ones((2, 3))), 1.0)
+    with pytest.raises(DimensionError):
+        attend(Tensor(np.ones((4, 3))), Tensor(np.ones((5, 2))), Tensor(np.ones((5, 2))), 1.0)
+    with pytest.raises(DimensionError):
+        attend(Tensor(np.ones((4, 3))), Tensor(np.ones((5, 3))), Tensor(np.ones((6, 2))), 1.0)
+    k, v = Tensor(np.ones((3, 5, 3))), Tensor(np.ones((3, 5, 2)))
+    with pytest.raises(DimensionError):
+        attend(Tensor(np.ones((2, 4, 3))), k, v, 1.0)
