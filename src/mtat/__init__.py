@@ -23,6 +23,7 @@ from .attention import (
     vanilla_attention_head,
 )
 from .diffusion import (
+    FidReference,
     ModelBundle,
     SampleResult,
     SgdConfig,

@@ -11,6 +11,8 @@ numeric failures.
 
 import argparse
 import copy
+import csv
+import io
 import json
 import os
 import sys
@@ -26,6 +28,7 @@ from .attention import (
     mediator_flops,
 )
 from .diffusion import (
+    FidReference,
     SgdConfig,
     SgdState,
     ToyDiffusionModel,
@@ -326,13 +329,19 @@ def cmd_sweep(args):
         model.cfg.classes, model.cfg.grid_h, model.cfg.grid_w,
         int(sweep_cfg["reference_size"]), model.cfg.channels,
     )
+    reference = FidReference.fit(ref_data.images, seed=seed)
     steps = int(sweep_cfg["steps"])
     per_point_samples = int(sweep_cfg["samples"])
     # Every point draws sample s from the same noise, so points differ only
     # in schedule, and points whose counts agree so far share those steps:
-    # one velocity cache per sample holds them for this sweep.
+    # one step cache per sample holds them for this sweep. Points whose
+    # counts agree throughout produce the same images; fid_proxy is a
+    # deterministic function of them, so each distinct image stack is
+    # scored once.
     noise_seed = child_seed(seed, "sweep")
     caches = [{} for _ in range(per_point_samples)]
+    qualities = {}
+    first_deltas = set()
 
     def evaluate(point):
         images = []
@@ -345,9 +354,13 @@ def cmd_sweep(args):
             )
             images.append(result.image)
             flops_total += result.flops.total_flops
+            first_deltas.add(result.trace.delta0)
         cost = (flops_total / per_point_samples) / 1e9
-        quality = fid_proxy(np.stack(images), ref_data.images, seed=seed)
-        return cost, quality
+        stack = np.stack(images)
+        key = stack.tobytes()
+        if key not in qualities:
+            qualities[key] = fid_proxy(stack, reference, seed=seed)
+        return cost, qualities[key]
 
     results, failures = sweep_thresholds(points, evaluate)
     for point, exc in failures:
@@ -356,16 +369,23 @@ def cmd_sweep(args):
             f"metric={point.metric}) failed: {exc}",
             file=sys.stderr,
         )
+    # A first step that moves no latent leaves every schedule at its first
+    # count (fresh weights predict the zero field): the grid is degenerate.
+    degenerate = first_deltas == {0.0}
+    if degenerate:
+        results = []
     envelope_ids = set(
         pareto_envelope([(cost, quality, point.index) for point, cost, quality in results])
     )
 
     header = "rho0,rho1,metric,avg_gflops,quality,on_envelope"
 
+    def rho1_text(point):
+        return "" if point.rho1 is None else repr(float(point.rho1))
+
     def row(point, cost, quality):
-        rho1 = "" if point.rho1 is None else repr(float(point.rho1))
         flag = 1 if point.index in envelope_ids else 0
-        return f"{repr(float(point.rho0))},{rho1},{point.metric},{cost!r},{quality!r},{flag}"
+        return f"{repr(float(point.rho0))},{rho1_text(point)},{point.metric},{cost!r},{quality!r},{flag}"
 
     lines = [header] + [row(*entry) for entry in results]
     write_text_atomic(os.path.join(out, "sweep.csv"), "\n".join(lines) + "\n")
@@ -373,10 +393,27 @@ def cmd_sweep(args):
         row(*entry) for entry in sorted(results, key=lambda e: e[1]) if entry[0].index in envelope_ids
     ]
     write_text_atomic(os.path.join(out, "envelope.csv"), "\n".join(env_lines) + "\n")
+    failure_text = io.StringIO()
+    writer = csv.writer(failure_text, lineterminator="\n")
+    writer.writerow(["index", "rho0", "rho1", "metric", "error", "message"])
+    for point, exc in failures:
+        writer.writerow([
+            point.index, repr(float(point.rho0)), rho1_text(point), point.metric,
+            type(exc).__name__, str(exc),
+        ])
+    write_text_atomic(os.path.join(out, "failures.csv"), failure_text.getvalue())
     print(
         f"swept {len(points)} schedules ({len(failures)} failed), "
-        f"{len(envelope_ids)} on the envelope; wrote {out}/sweep.csv and {out}/envelope.csv"
+        f"{len(envelope_ids)} on the envelope; wrote {out}/sweep.csv, {out}/envelope.csv "
+        f"and {out}/failures.csv"
     )
+    if degenerate:
+        print(
+            "numeric error: the first sampling step moved no sample's latent, so no "
+            "schedule can advance past its first count; sweep trained weights with --ckpt",
+            file=sys.stderr,
+        )
+        return 3
     if not results:
         print(f"numeric error: all {len(points)} sweep points failed", file=sys.stderr)
         return 3

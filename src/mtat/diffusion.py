@@ -8,6 +8,7 @@ mediated attention freely, and the mediator count is a runtime argument
 so one set of weights serves every schedule level.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -159,6 +160,21 @@ def tokens_from_image(image, cfg):
 def image_from_tokens(tokens, cfg):
     arr = np.asarray(tokens, dtype=np.float64)
     return arr.reshape(cfg.grid_h, cfg.grid_w, cfg.channels)
+
+
+@functools.lru_cache(maxsize=64)
+def _step_flops(cfg, count):
+    """The MAC bill of one forward of a ``cfg`` model with ``count``
+    mediators, built once per pair: a sampling loop asks for it every
+    step, and FlopsReport is immutable."""
+    attn_cfg = cfg.attention_config
+    total = FlopsReport()
+    for kind in cfg.layer_kinds:
+        if kind == "vanilla":
+            total = total + attention_flops(attn_cfg)
+        else:
+            total = total + mediator_flops(attn_cfg, count)
+    return total
 
 
 class ToyDiffusionModel:
@@ -342,16 +358,8 @@ class ToyDiffusionModel:
 
     def step_flops(self, mediator_count=None):
         """Analytic attention MACs for one forward pass (all layers)."""
-        cfg = self.cfg
-        count = cfg.default_mediators if mediator_count is None else int(mediator_count)
-        attn_cfg = cfg.attention_config
-        total = FlopsReport()
-        for kind in cfg.layer_kinds:
-            if kind == "vanilla":
-                total = total + attention_flops(attn_cfg)
-            else:
-                total = total + mediator_flops(attn_cfg, count)
-        return total
+        count = self.cfg.default_mediators if mediator_count is None else int(mediator_count)
+        return _step_flops(self.cfg, count)
 
     def state_dict(self):
         return dict(self.params)
@@ -588,6 +596,67 @@ def capture_redundancy(model, labels, steps, seed, schedule=None, pair_cap=None,
 # sample-quality proxy
 
 
+def _sample_matrix(samples):
+    """Validate one sample set and flatten it to (samples, features)."""
+    block = np.asarray(samples, dtype=np.float64)
+    if block.ndim < 2:
+        raise DimensionError("sample sets must be arrays of at least one sample each")
+    if block.shape[0] == 0:
+        raise DimensionError("sample sets must be non-empty")
+    block = block.reshape(block.shape[0], -1)
+    if not np.all(np.isfinite(block)):
+        raise NumericError("sample sets contain non-finite values")
+    return block
+
+
+def _gaussian_fit(block):
+    mean = block.mean(axis=0)
+    centred = block - mean
+    cov = centred.T @ centred / block.shape[0]
+    return mean, cov + 1e-6 * np.eye(block.shape[1])
+
+
+def _psd_root(cov):
+    w, basis = np.linalg.eigh(cov)
+    return (basis * np.sqrt(np.clip(w, 0.0, None))) @ basis.T
+
+
+@dataclass(frozen=True, eq=False)
+class FidReference:
+    """The reference side of ``fid_proxy``, fitted once.
+
+    ``dims`` is the flattened sample width, ``basis`` the seeded
+    projection applied when ``dims > max_dims`` (else None); ``mean``,
+    ``trace`` and ``root`` describe the (projected) Gaussian fit, with
+    ``root`` its covariance's PSD square root. A sweep scores many
+    generated sets against one reference; preparing it once saves an
+    ``eigh`` per score and gives bit-identical values.
+    """
+
+    seed: int
+    max_dims: int
+    dims: int
+    basis: object
+    mean: np.ndarray
+    trace: float
+    root: np.ndarray
+
+    @classmethod
+    def fit(cls, reference, seed=0, max_dims=64):
+        ref = _sample_matrix(reference)
+        dims, basis = ref.shape[1], None
+        if dims > max_dims:
+            rng = stream_rng(seed, "fid-projection")
+            basis, _ = np.linalg.qr(rng.standard_normal((dims, max_dims)))
+            ref = ref @ basis
+        mean, cov = _gaussian_fit(ref)
+        root = _psd_root(cov)
+        for array in (basis, mean, root):
+            if array is not None:
+                array.flags.writeable = False
+        return cls(seed, max_dims, dims, basis, mean, np.trace(cov), root)
+
+
 def fid_proxy(generated, reference, seed=0, max_dims=64):
     """Fréchet distance between Gaussian fits of two sample sets.
 
@@ -595,48 +664,30 @@ def fid_proxy(generated, reference, seed=0, max_dims=64):
     through a shared seeded orthonormal projection. Covariances use the
     population convention and get a 1e-6 diagonal ridge, so tiny or
     degenerate sets stay well defined. Identical sets score zero up to
-    floating-point noise.
+    floating-point noise. ``reference`` is a sample array or a
+    ``FidReference`` fitted with the same ``seed`` and ``max_dims``;
+    both give the same value bit for bit.
     """
-    gen = np.asarray(generated, dtype=np.float64)
-    ref = np.asarray(reference, dtype=np.float64)
-    if gen.ndim < 2 or ref.ndim < 2:
-        raise DimensionError("sample sets must be arrays of at least one sample each")
-    if gen.shape[0] == 0 or ref.shape[0] == 0:
-        raise DimensionError("sample sets must be non-empty")
-    gen = gen.reshape(gen.shape[0], -1)
-    ref = ref.reshape(ref.shape[0], -1)
-    if gen.shape[1] != ref.shape[1]:
-        raise DimensionError(
-            f"sample dimensions differ: {gen.shape[1]} vs {ref.shape[1]}"
+    if not isinstance(reference, FidReference):
+        reference = FidReference.fit(reference, seed, max_dims)
+    elif (reference.seed, reference.max_dims) != (seed, max_dims):
+        raise UsageError(
+            f"reference prepared for seed={reference.seed}, max_dims={reference.max_dims}; "
+            f"called with seed={seed}, max_dims={max_dims}"
         )
-    if not (np.all(np.isfinite(gen)) and np.all(np.isfinite(ref))):
-        raise NumericError("sample sets contain non-finite values")
-    dims = gen.shape[1]
-    if dims > max_dims:
-        rng = stream_rng(seed, "fid-projection")
-        raw = rng.standard_normal((dims, max_dims))
-        basis, _ = np.linalg.qr(raw)
-        gen = gen @ basis
-        ref = ref @ basis
-
-    def fit(block):
-        mean = block.mean(axis=0)
-        centred = block - mean
-        cov = centred.T @ centred / block.shape[0]
-        return mean, cov + 1e-6 * np.eye(block.shape[1])
-
-    mu_g, cov_g = fit(gen)
-    mu_r, cov_r = fit(ref)
-
-    def root(cov):
-        w, basis = np.linalg.eigh(cov)
-        return (basis * np.sqrt(np.clip(w, 0.0, None))) @ basis.T
-
+    gen = _sample_matrix(generated)
+    if gen.shape[1] != reference.dims:
+        raise DimensionError(
+            f"sample dimensions differ: {gen.shape[1]} vs {reference.dims}"
+        )
+    if reference.basis is not None:
+        gen = gen @ reference.basis
+    mu_g, cov_g = _gaussian_fit(gen)
     # tr sqrt(Sg Sr) = tr sqrt(Sg^1/2 Sr Sg^1/2), the sum of the singular
     # values of Sr^1/2 Sg^1/2. Taking them from the product itself, not as
     # square roots of its Gram matrix's eigenvalues, keeps the ridge-sized
     # directions accurate, so identical sets still score ~0.
-    tr_covmean = np.sum(np.linalg.svd(root(cov_r) @ root(cov_g), compute_uv=False))
-    mean_term = float(np.sum((mu_g - mu_r) ** 2))
-    trace_term = float(np.trace(cov_g) + np.trace(cov_r) - 2.0 * tr_covmean)
+    tr_covmean = np.sum(np.linalg.svd(reference.root @ _psd_root(cov_g), compute_uv=False))
+    mean_term = float(np.sum((mu_g - reference.mean) ** 2))
+    trace_term = float(np.trace(cov_g) + reference.trace - 2.0 * tr_covmean)
     return mean_term + trace_term

@@ -185,13 +185,18 @@ def run_scheduled_sampling(bundle, x_init, steps, schedule=None, on_step=None, c
     the latent at all leaves the schedule at its starting level for the
     whole run, since relative thresholds are meaningless there.
 
-    ``cache`` is an optional caller-owned dict of velocities keyed by the
-    count prefix: the counts of the steps taken so far plus this step's.
-    From a fixed start the latent before step k depends only on the counts
-    of steps 0..k-1, so runs whose schedules pick the same counts share
-    those steps, and ``bundle.velocity`` is called only on a miss. One
-    cache serves one (model, label, initial latent, step count); a
-    capturing bundle records maps only for the steps it computes.
+    ``cache`` is an optional caller-owned dict of whole steps. The key is
+    the metric, the counts of the steps taken so far and this step's
+    count; the value is the step's result, (latent after the step,
+    displacement), with the latent read-only. From a fixed start the
+    latent before step k depends only on the counts of steps 0..k-1, and
+    the displacement also on the metric, so runs whose schedules pick the
+    same counts share those steps. A hit does no array arithmetic; only a
+    miss calls ``bundle.velocity``, and every computed step checks the
+    velocity's shape and the new latent's finiteness. One cache serves
+    one (model, label, initial latent, step count), for any metrics; a
+    capturing bundle records maps only for the steps it computes. With a
+    cache, the latents passed to ``on_step`` and returned are read-only.
 
     Returns (final latent, LatentTrace, summed FlopsReport).
     """
@@ -207,21 +212,22 @@ def run_scheduled_sampling(bundle, x_init, steps, schedule=None, on_step=None, c
     trace = LatentTrace(metric=metric)
     total = FlopsReport()
     for k in range(steps):
-        t = 1.0 - k / steps
-        key = tuple(trace.selected) + (count,)
-        velocity = None if cache is None else cache.get(key)
-        if velocity is None:
-            velocity = np.asarray(bundle.velocity(x, t, count), dtype=np.float64)
+        key = (metric, *trace.selected, count)
+        step = None if cache is None else cache.get(key)
+        if step is None:
+            velocity = np.asarray(bundle.velocity(x, 1.0 - k / steps, count), dtype=np.float64)
             if velocity.shape != x.shape:
                 raise DimensionError(
                     f"velocity shape {velocity.shape} does not match latent {x.shape}"
                 )
+            x_next = x - velocity / steps
+            if not np.all(np.isfinite(x_next)):
+                raise NumericError(f"sampling diverged at step {k}")
+            step = x_next, latent_distance(x, x_next, metric)
             if cache is not None:
-                cache[key] = velocity
-        x_next = x - velocity / steps
-        if not np.all(np.isfinite(x_next)):
-            raise NumericError(f"sampling diverged at step {k}")
-        delta = latent_distance(x, x_next, metric)
+                x_next.flags.writeable = False
+                cache[key] = step
+        x_next, delta = step
         step_report = bundle.step_flops(count)
         trace.deltas.append(delta)
         trace.selected.append(count)

@@ -1,5 +1,7 @@
 """End-to-end runs of every subcommand through main()."""
 
+import csv
+import io
 import json
 import math
 import os
@@ -7,6 +9,7 @@ import shutil
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -193,13 +196,27 @@ def test_redundancy_is_deterministic(tmp_path, config_path):
 # sweep
 
 
-def test_sweep_single_point_is_its_own_envelope(tmp_path):
+@pytest.fixture(scope="module")
+def micro_ckpt(tmp_path_factory):
+    """A checkpoint of the micro model after MICRO_CONFIG's training.
+
+    Trained weights move the latent on the first step, so sweep schedules
+    can advance; fresh weights predict the zero field and a sweep of them
+    is degenerate."""
+    tmp = tmp_path_factory.mktemp("micro")
+    path = tmp / "config.json"
+    path.write_text(json.dumps(MICRO_CONFIG))
+    assert main(["train", "--config", str(path), "--out", str(tmp / "train")]) == 0
+    return str(tmp / "train" / "model.ckpt")
+
+
+def test_sweep_single_point_is_its_own_envelope(tmp_path, micro_ckpt):
     config = dict(MICRO_CONFIG)
     config["sweep"] = dict(MICRO_CONFIG["sweep"], rho_values=[0.5])
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
     out = tmp_path / "run"
-    assert main(["sweep", "--config", str(path), "--out", str(out)]) == 0
+    assert main(["sweep", "--config", str(path), "--ckpt", micro_ckpt, "--out", str(out)]) == 0
     header, rows = read_csv(out / "sweep.csv")
     assert header == ["rho0", "rho1", "metric", "avg_gflops", "quality", "on_envelope"]
     assert len(rows) == 1
@@ -209,19 +226,71 @@ def test_sweep_single_point_is_its_own_envelope(tmp_path):
     assert env_rows == rows
 
 
-def test_sweep_exits_3_when_every_point_fails(tmp_path, capsys, monkeypatch):
+# The default 11-value grid (77 points) on the micro model, whose 4x4 grid
+# fits 1, 4 and 16 mediators.
+MICRO_GRID_CONFIG = dict(
+    MICRO_CONFIG,
+    sweep=dict(
+        MICRO_CONFIG["sweep"], rho_values=[round(1.0 - 0.1 * i, 1) for i in range(11)],
+        counts=[1, 4, 16],
+    ),
+)
+FAILURES_HEADER = "index,rho0,rho1,metric,error,message\n"
+
+
+def broken_sweep(out, config_dir, micro_ckpt, monkeypatch, message="quality proxy diverged"):
+    """Run the 77-point micro sweep with a quality proxy that always raises."""
+
     def broken_quality(*args, **kwargs):
-        raise NumericError("quality proxy diverged")
+        raise NumericError(message)
 
     monkeypatch.setattr("mtat.cli.fid_proxy", broken_quality)
+    path = config_dir / "grid.json"
+    path.write_text(json.dumps(MICRO_GRID_CONFIG))
+    return main(["sweep", "--config", str(path), "--ckpt", micro_ckpt, "--out", str(out)])
+
+
+def test_sweep_exits_3_when_every_point_fails(tmp_path, capsys, monkeypatch, micro_ckpt):
     out = tmp_path / "run"
-    assert main(["sweep", "--out", str(out)]) == 3
+    assert broken_sweep(out, tmp_path, micro_ckpt, monkeypatch) == 3
     err = capsys.readouterr().err
     assert "quality proxy diverged" in err
     assert "numeric error: all 77 sweep points failed" in err
     for name in ("sweep.csv", "envelope.csv"):
         header, rows = read_csv(out / name)
         assert header[0] == "rho0" and rows == []
+
+
+def test_sweep_writes_each_failed_point_to_failures_csv(tmp_path, config_path, micro_ckpt, monkeypatch):
+    message = 'proxy diverged at "t=1", twice'
+    for name in ("a", "b"):
+        assert broken_sweep(tmp_path / name, tmp_path, micro_ckpt, monkeypatch, message) == 3
+    text = (tmp_path / "a" / "failures.csv").read_text()
+    assert text == (tmp_path / "b" / "failures.csv").read_text()
+    assert text.startswith(FAILURES_HEADER)
+    rows = list(csv.reader(io.StringIO(text)))[1:]
+    assert len(rows) == 77
+    assert [row[0] for row in rows] == [str(i) for i in range(77)]
+    assert rows[0][1:4] == ["1.0", "1.0", "l1"] and rows[-1][1:4] == ["0.0", "", "l1"]
+    assert all(row[4:] == ["NumericError", message] for row in rows)
+
+    monkeypatch.undo()
+    sweep = ["sweep", "--config", config_path, "--ckpt", micro_ckpt, "--out"]
+    for name in ("c", "d"):
+        assert main(sweep + [str(tmp_path / name)]) == 0
+        assert (tmp_path / name / "failures.csv").read_text() == FAILURES_HEADER
+
+
+def test_sweep_of_fresh_weights_exits_3_with_header_only_files(tmp_path, config_path, capsys):
+    out = tmp_path / "run"
+    assert main(["sweep", "--config", config_path, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.count("numeric error:") == 1
+    assert "no schedule can advance" in err and "--ckpt" in err
+    for name in ("sweep.csv", "envelope.csv"):
+        header, rows = read_csv(out / name)
+        assert header[0] == "rho0" and rows == []
+    assert (out / "failures.csv").read_text() == FAILURES_HEADER
 
 
 def test_sweep_rejects_out_of_grid_counts_before_any_point_runs(tmp_path, capsys):
@@ -234,10 +303,11 @@ def test_sweep_rejects_out_of_grid_counts_before_any_point_runs(tmp_path, capsys
     assert not (out / "sweep.csv").exists()
 
 
-def test_sweep_reruns_are_byte_identical(tmp_path, config_path):
+def test_sweep_reruns_are_byte_identical(tmp_path, config_path, micro_ckpt):
     out_a, out_b = tmp_path / "a", tmp_path / "b"
-    assert main(["sweep", "--config", config_path, "--out", str(out_a)]) == 0
-    assert main(["sweep", "--config", config_path, "--out", str(out_b)]) == 0
+    sweep = ["sweep", "--config", config_path, "--ckpt", micro_ckpt, "--out"]
+    assert main(sweep + [str(out_a)]) == 0
+    assert main(sweep + [str(out_b)]) == 0
     assert (out_a / "sweep.csv").read_bytes() == (out_b / "sweep.csv").read_bytes()
     assert (out_a / "envelope.csv").read_bytes() == (out_b / "envelope.csv").read_bytes()
     _, rows = read_csv(out_a / "sweep.csv")
@@ -259,37 +329,41 @@ TRIE_CONFIG = dict(
 
 
 @pytest.fixture(scope="module")
-def trie_sweep(tmp_path_factory):
-    """The micro sweep run through main(), with the velocity calls it made,
-    next to each point recomputed on its own without a cache."""
+def trie_run(tmp_path_factory, micro_ckpt):
+    """The micro sweep run through main(), with the velocity calls it made
+    and the image stacks it scored, next to each point recomputed on its
+    own without a cache."""
     tmp = tmp_path_factory.mktemp("trie")
     path = tmp / "config.json"
     path.write_text(json.dumps(TRIE_CONFIG))
-    # Trained weights, so the latent moves and the schedules branch.
-    assert main(["train", "--config", str(path), "--out", str(tmp / "train")]) == 0
-    ckpt = str(tmp / "train" / "model.ckpt")
-    calls = []
+    calls, scored = [], []
     velocity = ModelBundle.velocity
 
     def counted(self, x, t, count):
         calls.append(count)
         return velocity(self, x, t, count)
 
+    def counted_quality(generated, *args, **kwargs):
+        scored.append(np.asarray(generated).tobytes())
+        return fid_proxy(generated, *args, **kwargs)
+
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(ModelBundle, "velocity", counted)
-        code = main(["sweep", "--config", str(path), "--ckpt", ckpt, "--out", str(tmp / "run")])
+        patch.setattr("mtat.cli.fid_proxy", counted_quality)
+        # Trained weights, so the latent moves and the schedules branch.
+        code = main(["sweep", "--config", str(path), "--ckpt", micro_ckpt, "--out", str(tmp / "run")])
     assert code == 0
     _, rows = read_csv(tmp / "run" / "sweep.csv")
 
     sweep = TRIE_CONFIG["sweep"]
     model_cfg = ToyModelConfig.from_json_dict(MICRO_MODEL)
-    model = ToyDiffusionModel.from_state(model_cfg, load_checkpoint(ckpt))
+    model = ToyDiffusionModel.from_state(model_cfg, load_checkpoint(micro_ckpt))
     reference = synth_dataset(
         child_seed(0, "sweep", "reference"), model.cfg.classes, model.cfg.grid_h,
         model.cfg.grid_w, sweep["reference_size"], model.cfg.channels,
     ).images
     points = threshold_grid(sweep["rho_values"], sweep["counts"])
-    uncached = []
+    uncached, stacks = [], []
     for point in points:
         results = [
             euler_sample(
@@ -299,10 +373,17 @@ def trie_sweep(tmp_path_factory):
             for s in range(sweep["samples"])
         ]
         cost = sum(r.flops.total_flops for r in results) / sweep["samples"] / 1e9
-        quality = fid_proxy(np.stack([r.image for r in results]), reference, seed=0)
+        stack = np.stack([r.image for r in results])
+        quality = fid_proxy(stack, reference, seed=0)
         traces = tuple(tuple(r.trace.selected) for r in results)
         uncached.append((point, cost, quality, traces))
-    return rows, len(calls), uncached
+        stacks.append(stack.tobytes())
+    return SimpleNamespace(rows=rows, calls=len(calls), scored=scored, uncached=uncached, stacks=stacks)
+
+
+@pytest.fixture(scope="module")
+def trie_sweep(trie_run):
+    return trie_run.rows, trie_run.calls, trie_run.uncached
 
 
 def test_sweep_rows_match_uncached_per_point_sampling(trie_sweep):
@@ -340,6 +421,29 @@ def test_sweep_calls_the_model_once_per_distinct_count_prefix(trie_sweep):
     # length L is one of comb(L + levels - 2, levels - 1) sequences.
     trie_bound = samples * sum(math.comb(L + levels - 2, levels - 1) for L in range(1, steps + 1))
     assert calls <= trie_bound < len(uncached) * samples * steps
+
+
+def test_sweep_scores_each_distinct_image_stack_once(trie_run):
+    distinct = set(trie_run.stacks)
+    assert len(trie_run.scored) == len(distinct) < len(trie_run.uncached)
+    assert set(trie_run.scored) == distinct
+
+
+def test_two_metric_sweep_rows_match_single_metric_sweeps(tmp_path, micro_ckpt):
+    # One step cache per sample serves both metrics. Over six steps the l1
+    # and l2 displacement ratios cross the grid's thresholds at different
+    # steps, so a cache that mixed them up would change the l2 rows.
+    def rows(metrics):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(dict(
+            MICRO_GRID_CONFIG,
+            sweep=dict(MICRO_GRID_CONFIG["sweep"], steps=6, metrics=metrics),
+        )))
+        out = tmp_path / "-".join(metrics)
+        assert main(["sweep", "--config", str(path), "--ckpt", micro_ckpt, "--out", str(out)]) == 0
+        return [row[:5] for row in read_csv(out / "sweep.csv")[1]]
+
+    assert rows(["l1", "l2"]) == rows(["l1"]) + rows(["l2"])
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 
 from mtat.attention import composed_attention_map
 from mtat.diffusion import (
+    FidReference,
     ModelBundle,
     SgdConfig,
     SgdState,
@@ -661,3 +662,24 @@ def test_fid_proxy_input_validation():
         fid_proxy(np.zeros(3), np.zeros(3))
     with pytest.raises(NumericError):
         fid_proxy(np.array([[np.nan]]), np.array([[0.0]]))
+
+
+def test_prepared_reference_is_bit_equal_to_the_array_path():
+    rng = np.random.default_rng(6)
+    for shape, max_dims in (((5, 3, 2), 64), ((5, 4, 4, 9), 64), ((5, 12), 8)):
+        gen = rng.standard_normal(shape)
+        ref = rng.standard_normal((7,) + shape[1:]) + 0.3
+        prepared = FidReference.fit(ref, seed=3, max_dims=max_dims)
+        assert (prepared.basis is None) == (prepared.dims <= max_dims)
+        assert not (prepared.mean.flags.writeable or prepared.root.flags.writeable)
+        value = fid_proxy(gen, prepared, seed=3, max_dims=max_dims)
+        assert value == fid_proxy(gen, ref, seed=3, max_dims=max_dims)
+        assert value == fid_proxy(gen, prepared, seed=3, max_dims=max_dims)
+    # The last reference is projected: 12 dims onto 8.
+    assert prepared.basis.shape == (12, 8)
+    with pytest.raises(UsageError):
+        fid_proxy(gen, prepared, seed=4, max_dims=8)
+    with pytest.raises(UsageError):
+        fid_proxy(gen, prepared, seed=3, max_dims=64)
+    with pytest.raises(DimensionError):
+        fid_proxy(gen[:, :11], prepared, seed=3, max_dims=8)

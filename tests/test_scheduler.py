@@ -322,6 +322,26 @@ def test_trace_csv_columns():
     assert int(macs) == bundle.step_flops(4).total_macs
 
 
+def test_cached_steps_are_read_only_and_replay_without_the_bundle():
+    schedule = MediatorSchedule(1, (ScheduleLevel(0.5, 4),), metric="l2")
+    cache = {}
+    x, trace, flops = run_scheduled_sampling(
+        scripted([6.0, 2.0, 1.0], steps=3), np.zeros((16, 8)), 3, schedule, cache=cache
+    )
+    assert sorted(cache) == [("l2", 1), ("l2", 1, 1), ("l2", 1, 1, 4)]
+    for latent, delta in cache.values():
+        assert not latent.flags.writeable
+        with pytest.raises(ValueError):
+            latent[0, 0] = 1.0
+    assert cache[("l2", 1, 1, 4)][0] is x
+    # A bundle with no scripted steps raises on any velocity call.
+    again, replay, replay_flops = run_scheduled_sampling(
+        scripted([], steps=3), np.zeros((16, 8)), 3, schedule, cache=cache
+    )
+    assert again is x and replay_flops == flops
+    assert (replay.deltas, replay.selected) == (trace.deltas, trace.selected) == ([6.0, 2.0, 1.0], [1, 1, 4])
+
+
 def test_latent_trace_defaults():
     trace = LatentTrace()
     assert trace.deltas == [] and trace.selected == [] and trace.delta0 == 0.0
