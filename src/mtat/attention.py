@@ -132,7 +132,7 @@ class MultiHeadParams:
 def _check_rows_stochastic(array, what):
     sums = array.sum(axis=-1)
     worst = float(np.abs(sums - 1.0).max()) if sums.size else 0.0
-    if worst > _ROW_SUM_TOL:
+    if not worst <= _ROW_SUM_TOL:  # a NaN entry makes worst NaN
         raise NumericError(f"{what} rows deviate from sum 1 by {worst:.3e}")
     if float(array.min(initial=0.0)) < 0.0:
         raise NumericError(f"{what} contains negative weights")

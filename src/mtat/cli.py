@@ -298,10 +298,13 @@ def cmd_redundancy(args):
         pair_cap=None if pair_cap is None else int(pair_cap),
     )
     write_text_atomic(os.path.join(out, "redundancy.csv"), trace.to_csv())
+    # Wall-clock data stays out of redundancy.csv, which reruns reproduce.
+    timing = json.dumps(trace.timing, indent=2, sort_keys=True)
+    write_text_atomic(os.path.join(out, "timing.json"), timing + "\n")
     for layer in range(trace.scores.shape[0]):
         mean = float(trace.scores[layer].mean())
         print(f"layer {layer}: mean score {mean:.6f} over {steps} steps, {samples} samples")
-    print(f"wrote {out}/redundancy.csv")
+    print(f"wrote {out}/redundancy.csv and {out}/timing.json")
     return 0
 
 
@@ -334,10 +337,10 @@ def cmd_sweep(args):
     per_point_samples = int(sweep_cfg["samples"])
     # Every point draws sample s from the same noise, so points differ only
     # in schedule, and points whose counts agree so far share those steps:
-    # one step cache per sample holds them for this sweep. Points whose
-    # counts agree throughout produce the same images; fid_proxy is a
-    # deterministic function of them, so each distinct image stack is
-    # scored once.
+    # one cache per sample holds them, and the sample's noise, for this
+    # sweep. Points whose counts agree throughout produce the same images;
+    # fid_proxy is a deterministic function of them, so each distinct
+    # image stack is scored once.
     noise_seed = child_seed(seed, "sweep")
     caches = [{} for _ in range(per_point_samples)]
     qualities = {}

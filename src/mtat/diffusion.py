@@ -10,6 +10,7 @@ so one set of weights serves every schedule level.
 
 import functools
 import math
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -546,13 +547,21 @@ def euler_sample(
     under one seed; ``models_by_count`` swaps in per-count weight sets
     as the schedule advances; ``cache`` goes to ``run_scheduled_sampling``
     and may only be shared between calls with the same models, label,
-    seed, sample index and step count. Returns a SampleResult with the
-    final image on the spatial grid; the trajectory, when recorded,
-    stores each intermediate token matrix including the initial noise.
+    seed, sample index and step count. The cache also keeps the initial
+    noise, read-only, under the key ``"noise"`` (step keys are tuples),
+    so calls that share a cache draw it once. Returns a SampleResult
+    with the final image on the spatial grid; the trajectory, when
+    recorded, stores each intermediate token matrix including the
+    initial noise.
     """
     cfg = model.cfg
-    rng = stream_rng(seed, "sampling", int(sample_index))
-    x_init = rng.standard_normal((cfg.n_tokens, cfg.channels))
+    x_init = None if cache is None else cache.get("noise")
+    if x_init is None:
+        rng = stream_rng(seed, "sampling", int(sample_index))
+        x_init = rng.standard_normal((cfg.n_tokens, cfg.channels))
+        if cache is not None:
+            x_init.flags.writeable = False
+            cache["noise"] = x_init
     bundle = ModelBundle(
         model, label, default_count=mediator_count, models_by_count=models_by_count
     )
@@ -572,8 +581,10 @@ def capture_redundancy(model, labels, steps, seed, schedule=None, pair_cap=None,
     """Sample once per label while recording attention maps, then score
     them. Mediated layers are composed to full maps before scoring.
 
-    Returns a RedundancyTrace with scores averaged over the samples.
+    Returns a RedundancyTrace with scores averaged over the samples; its
+    ``timing`` adds the capture wall time to the scoring time.
     """
+    start = time.perf_counter()
     captured = []
     for s, label in enumerate(labels):
         cfg = model.cfg
@@ -589,7 +600,10 @@ def capture_redundancy(model, labels, steps, seed, schedule=None, pair_cap=None,
             ]
             sample_steps.append(layers)
         captured.append(sample_steps)
-    return trace_over_steps(captured, model_id=model_id, pair_cap=pair_cap, seed=seed)
+    capture_s = time.perf_counter() - start
+    trace = trace_over_steps(captured, model_id=model_id, pair_cap=pair_cap, seed=seed)
+    trace.timing["capture_s"] = capture_s
+    return trace
 
 
 # ---------------------------------------------------------------------------

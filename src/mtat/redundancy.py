@@ -8,6 +8,7 @@ rows agree exactly and ln 2 means they never overlap.
 """
 
 import math
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,6 +19,21 @@ from .util import stream_rng
 
 LN2 = math.log(2.0)
 _SUM_TOL = 1e-6
+_TINY = np.finfo(np.float64).tiny
+
+
+def _check_rows(rows, what):
+    """Check that every row along the last axis is finite, non-negative
+    and sums to 1 within _SUM_TOL; returns the row sums."""
+    sums = rows.sum(axis=-1)
+    if not np.all(np.isfinite(sums)):
+        raise NumericError(f"{what} contains non-finite entries")
+    if rows.min(initial=0.0) < 0.0:
+        raise NumericError(f"{what} contains negative mass (min {rows.min():.3e})")
+    worst = float(np.max(np.abs(sums - 1.0)))
+    if worst > _SUM_TOL:
+        raise NumericError(f"{what} mass is off 1 by {worst:.3e}, beyond {_SUM_TOL}")
+    return sums
 
 
 class Distribution:
@@ -33,14 +49,7 @@ class Distribution:
         arr = np.asarray(probs, dtype=np.float64)
         if arr.ndim != 1 or arr.size == 0:
             raise DimensionError(f"distribution must be a non-empty vector, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise NumericError("distribution contains non-finite entries")
-        if arr.min() < 0.0:
-            raise NumericError(f"distribution contains negative mass (min {arr.min():.3e})")
-        total = arr.sum()
-        if abs(total - 1.0) > _SUM_TOL:
-            raise NumericError(f"distribution mass {total!r} is not within {_SUM_TOL} of 1")
-        self.probs = arr / total
+        self.probs = arr / _check_rows(arr, "distribution")
 
     def __len__(self):
         return self.probs.size
@@ -76,56 +85,64 @@ def js_divergence(p, q):
     qa = _as_probs(q, "js_divergence")
     if pa.shape != qa.shape:
         raise DimensionError(f"distribution lengths differ: {pa.size} vs {qa.size}")
-    scratch = _JsdScratch(1, pa.size)
-    h_p = scratch.row_entropies(pa[None, :])
-    h_q = scratch.row_entropies(qa[None, :])
-    np.add(pa, qa, out=scratch.mix[0])
-    return float(scratch.mixture_jsd(1, h_p, h_q)[0])
+    scratch = _JsdScratch(2, pa.size)
+    entropies = scratch.load(np.stack([pa, qa]))
+    np.add(scratch.half[0], scratch.half[1], out=scratch.mix[0])
+    return float(scratch.mixture_jsd(1, entropies[0], entropies[1])[0])
 
 
 class _JsdScratch:
-    """Reused working memory for scoring up to ``capacity`` row pairs of
-    width ``width`` at a time, in entropy form:
+    """Reused working memory for scoring the row pairs of ``rows`` x
+    ``width`` heads, up to ``rows - 1`` pairs at a time, in entropy form:
     JSD(p, q) = H(m) - (H(p) + H(q)) / 2 with m = (p + q) / 2.
 
-    ``mix`` takes the pair sums p + q; ``log`` and ``mask`` are scratch
-    for the one log per element; ``sums`` holds the per-row entropies.
+    ``load`` clamps a head at the smallest normal float and halves it
+    into ``half``, so every log argument is positive and needs no mask,
+    and a pair mean m is one add, ``half[i] + half[j]``, into ``mix``.
+    Halving is exact above the subnormal range, so m has the bits of
+    (p + q) / 2. A zero entry contributes tiny * log(tiny) ~ -1.6e-305
+    instead of 0, which rounding absorbs into any non-zero row sum.
+    ``log`` is scratch for the one log per element; ``sums`` holds the
+    per-row entropies.
     """
 
-    def __init__(self, capacity, width):
-        self.mix = np.empty((capacity, width))
-        self.log = np.empty((capacity, width))
-        self.mask = np.empty((capacity, width), dtype=bool)
-        self.sums = np.empty(capacity)
+    def __init__(self, rows, width):
+        self.half = np.empty((rows, width))
+        self.mix = np.empty((rows - 1, width))
+        self.log = np.empty((rows - 1, width))
+        self.sums = np.empty(rows - 1)
 
     def _entropy(self, x):
-        # -sum x log x per row with 0 log 0 = 0, into self.sums. Every
-        # entropy goes through this op sequence, so equal rows get equal
-        # bits and an identical pair scores exactly 0.
+        # -sum x log x per row, into self.sums. Every entropy goes through
+        # this op sequence, so equal rows get equal bits and an identical
+        # pair scores exactly 0.
         k = x.shape[0]
-        mask, log, out = self.mask[:k], self.log[:k], self.sums[:k]
-        np.greater(x, 0.0, out=mask)
-        log.fill(0.0)
-        np.log(x, out=log, where=mask)
+        log, out = self.log[:k], self.sums[:k]
+        np.log(x, out=log)
         np.multiply(log, x, out=log)
         np.sum(log, axis=1, out=out)
         return np.negative(out, out=out)
 
-    def row_entropies(self, rows):
-        """Entropy of every row of a C-contiguous row-stochastic matrix."""
-        capacity = self.sums.size
-        entropies = np.empty(rows.shape[0])
-        for lo in range(0, rows.shape[0], capacity):
-            entropies[lo : lo + capacity] = self._entropy(rows[lo : lo + capacity])
+    def load(self, head):
+        """Take ``head`` into ``half`` and return its row entropies, each
+        from ``half[i] + half[i]`` (the clamped row)."""
+        half, mix = self.half, self.mix
+        np.maximum(head, _TINY, out=half)
+        np.multiply(half, 0.5, out=half)
+        capacity = mix.shape[0]
+        entropies = np.empty(half.shape[0])
+        for lo in range(0, half.shape[0], capacity):
+            block = half[lo : lo + capacity]
+            k = block.shape[0]
+            np.add(block, block, out=mix[:k])
+            entropies[lo : lo + k] = self._entropy(mix[:k])
         return entropies
 
     def mixture_jsd(self, k, h_first, h_second):
-        """JSD of the ``k`` pairs whose sums p + q fill ``mix[:k]``, given
-        H(p) and H(q); clamped at 0 against rounding. Halves ``mix`` in
-        place and returns a view of ``sums``."""
-        mix = self.mix[:k]
-        np.multiply(mix, 0.5, out=mix)
-        jsd = self._entropy(mix)
+        """JSD of the ``k`` pairs whose means m fill ``mix[:k]``, given
+        H(p) and H(q); clamped at 0 against rounding. Returns a view of
+        ``sums``."""
+        jsd = self._entropy(self.mix[:k])
         jsd -= 0.5 * (h_first + h_second)
         return np.maximum(jsd, 0.0, out=jsd)
 
@@ -150,9 +167,10 @@ def _head_maps(maps):
     arrays = [np.asarray(m, dtype=np.float64) for m in maps]
     if not arrays:
         raise UsageError("redundancy_score got an empty map list")
-    for m in arrays:
+    for index, m in enumerate(arrays):
         if m.ndim != 2:
             raise DimensionError(f"attention map must be a matrix, got shape {m.shape}")
+        _check_rows(m, f"attention map {index}")
     return arrays
 
 
@@ -160,10 +178,12 @@ def redundancy_score(maps, pair_cap=None, seed=0):
     """Mean pairwise row divergence of a layer's attention maps.
 
     ``maps`` is a full AttentionMaps capture or a list of per-head
-    row-stochastic matrices. Averages the Jensen-Shannon divergence over
-    all heads and all unordered row pairs; with ``pair_cap`` set below
-    the pair count, a seeded uniform sample of pairs estimates the same
-    average (a cap at or above the pair count runs the exact path).
+    row-stochastic matrices; a list map with a non-finite or negative
+    entry, or a row sum off 1 by more than 1e-6, is a NumericError.
+    Averages the Jensen-Shannon divergence over all heads and all
+    unordered row pairs; with ``pair_cap`` set below the pair count, a
+    seeded uniform sample of pairs estimates the same average (a cap at
+    or above the pair count runs the exact path).
     """
     arrays = _head_maps(maps)
     rows = arrays[0].shape[0]
@@ -180,16 +200,16 @@ def redundancy_score(maps, pair_cap=None, seed=0):
         raise DomainError(f"pair_cap must be positive, got {pair_cap}")
 
     # Both paths score at most rows - 1 pairs at a time in one scratch.
-    scratch = _JsdScratch(rows - 1, arrays[0].shape[1])
+    scratch = _JsdScratch(rows, arrays[0].shape[1])
+    half, mix = scratch.half, scratch.mix
     score = 0.0
     for head_index, head in enumerate(arrays):
-        head = np.ascontiguousarray(head, dtype=np.float64)
-        entropies = scratch.row_entropies(head)
+        entropies = scratch.load(head)
         head_sum = 0.0
         if not use_sampling:
             for i in range(rows - 1):
                 k = rows - 1 - i
-                np.add(head[i + 1 :], head[i], out=scratch.mix[:k])
+                np.add(half[i + 1 :], half[i], out=mix[:k])
                 head_sum += float(np.sum(scratch.mixture_jsd(k, entropies[i], entropies[i + 1 :])))
             score += head_sum
         else:
@@ -201,9 +221,9 @@ def redundancy_score(maps, pair_cap=None, seed=0):
                 k = a.size
                 # mode="clip" (the indices are in range) lets take write
                 # straight into out instead of through a buffer.
-                np.take(head, a, axis=0, out=scratch.mix[:k], mode="clip")
-                np.take(head, b, axis=0, out=scratch.log[:k], mode="clip")
-                np.add(scratch.mix[:k], scratch.log[:k], out=scratch.mix[:k])
+                np.take(half, a, axis=0, out=mix[:k], mode="clip")
+                np.take(half, b, axis=0, out=scratch.log[:k], mode="clip")
+                np.add(mix[:k], scratch.log[:k], out=mix[:k])
                 head_sum += float(np.sum(scratch.mixture_jsd(k, entropies[a], entropies[b])))
             score += head_sum * (total_pairs / int(pair_cap))
     heads = len(arrays)
@@ -219,7 +239,10 @@ class RedundancyTrace:
     samples: int
     heads: int
     model_id: str = ""
-    extra: dict = field(default_factory=dict)
+    # Wall-clock seconds and milliseconds, never written to the CSV:
+    # "score_s" and "score_ms" (per [layer][step], summed over samples)
+    # from trace_over_steps, "capture_s" from capture_redundancy.
+    timing: dict = field(default_factory=dict)
 
     def to_csv(self):
         lines = ["layer,step,score,samples,heads"]
@@ -236,7 +259,8 @@ def trace_over_steps(captured, model_id="", pair_cap=None, seed=0):
 
     Each entry is a full AttentionMaps or a list of per-head matrices
     (the composed form of a mediated layer). All samples must agree on
-    the step and layer counts; scores are averaged over samples.
+    the step and layer counts; scores are averaged over samples. The
+    trace's ``timing`` holds the scoring wall time.
     """
     if not captured or not captured[0] or not captured[0][0]:
         raise UsageError("trace_over_steps needs at least one sample, step, and layer")
@@ -252,9 +276,15 @@ def trace_over_steps(captured, model_id="", pair_cap=None, seed=0):
     first = captured[0][0][0]
     heads = first.head_count if isinstance(first, AttentionMaps) else len(first)
     scores = np.zeros((layers, steps))
+    seconds = np.zeros((layers, steps))
     for sample in captured:
         for t, step in enumerate(sample):
             for layer, maps in enumerate(step):
+                start = time.perf_counter()
                 scores[layer, t] += redundancy_score(maps, pair_cap=pair_cap, seed=seed)
+                seconds[layer, t] += time.perf_counter() - start
     scores /= len(captured)
-    return RedundancyTrace(scores=scores, samples=len(captured), heads=heads, model_id=model_id)
+    timing = {"score_s": float(seconds.sum()), "score_ms": (seconds * 1e3).tolist()}
+    return RedundancyTrace(
+        scores=scores, samples=len(captured), heads=heads, model_id=model_id, timing=timing
+    )

@@ -125,6 +125,8 @@ def test_attention_maps_reject_non_stochastic_rows():
         AttentionMaps.full([np.array([[0.5, 0.2], [0.5, 0.5]])])
     with pytest.raises(NumericError):
         AttentionMaps.full(np.array([[[0.5, 0.2], [0.5, 0.5]]]))
+    with pytest.raises(NumericError):
+        AttentionMaps.full([np.array([[np.nan, 1.0], [0.5, 0.5]])])
 
 
 def test_attention_maps_share_an_array_stack_and_copy_lists():

@@ -26,11 +26,11 @@ from mtat.diffusion import (
     synth_dataset,
 )
 from mtat.errors import NumericError
-from mtat.scheduler import threshold_grid
+from mtat.scheduler import pareto_envelope, threshold_grid
 from mtat.serialize import load_checkpoint
 from mtat.tensor import Tensor
 from mtat.serialize import save_checkpoint
-from mtat.util import child_seed
+from mtat.util import child_seed, stream_rng
 
 MICRO_MODEL = {
     "grid": [4, 4],
@@ -185,6 +185,18 @@ def test_redundancy_csv_layout_and_bounds(tmp_path, config_path):
     assert float(rows[0][2]) == trace.scores[0, 0]
 
 
+def test_redundancy_writes_its_wall_time_to_timing_json(tmp_path, config_path):
+    out = tmp_path / "run"
+    assert main(["redundancy", "--config", config_path, "--out", str(out)]) == 0
+    timing = json.loads((out / "timing.json").read_text())
+    assert sorted(timing) == ["capture_s", "score_ms", "score_s"]
+    assert timing["capture_s"] > 0.0
+    cells = np.array(timing["score_ms"])
+    assert cells.shape == (2, 2)  # layers x steps
+    assert np.all(cells > 0.0)
+    assert abs(cells.sum() / 1e3 - timing["score_s"]) <= 1e-9
+
+
 def test_redundancy_is_deterministic(tmp_path, config_path):
     out_a, out_b = tmp_path / "a", tmp_path / "b"
     main(["redundancy", "--config", config_path, "--out", str(out_a)])
@@ -330,18 +342,22 @@ TRIE_CONFIG = dict(
 
 @pytest.fixture(scope="module")
 def trie_run(tmp_path_factory, micro_ckpt):
-    """The micro sweep run through main(), with the velocity calls it made
-    and the image stacks it scored, next to each point recomputed on its
-    own without a cache."""
+    """The micro sweep run through main(), with the velocity calls it made,
+    the random streams it opened and the image stacks it scored, next to
+    each point recomputed on its own without a cache."""
     tmp = tmp_path_factory.mktemp("trie")
     path = tmp / "config.json"
     path.write_text(json.dumps(TRIE_CONFIG))
-    calls, scored = [], []
+    calls, scored, streams = [], [], []
     velocity = ModelBundle.velocity
 
     def counted(self, x, t, count):
         calls.append(count)
         return velocity(self, x, t, count)
+
+    def counted_stream(seed, *names):
+        streams.append(names)
+        return stream_rng(seed, *names)
 
     def counted_quality(generated, *args, **kwargs):
         scored.append(np.asarray(generated).tobytes())
@@ -350,10 +366,12 @@ def trie_run(tmp_path_factory, micro_ckpt):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(ModelBundle, "velocity", counted)
         patch.setattr("mtat.cli.fid_proxy", counted_quality)
+        patch.setattr("mtat.diffusion.stream_rng", counted_stream)
         # Trained weights, so the latent moves and the schedules branch.
         code = main(["sweep", "--config", str(path), "--ckpt", micro_ckpt, "--out", str(tmp / "run")])
     assert code == 0
     _, rows = read_csv(tmp / "run" / "sweep.csv")
+    _, envelope = read_csv(tmp / "run" / "envelope.csv")
 
     sweep = TRIE_CONFIG["sweep"]
     model_cfg = ToyModelConfig.from_json_dict(MICRO_MODEL)
@@ -378,7 +396,10 @@ def trie_run(tmp_path_factory, micro_ckpt):
         traces = tuple(tuple(r.trace.selected) for r in results)
         uncached.append((point, cost, quality, traces))
         stacks.append(stack.tobytes())
-    return SimpleNamespace(rows=rows, calls=len(calls), scored=scored, uncached=uncached, stacks=stacks)
+    return SimpleNamespace(
+        rows=rows, envelope=envelope, calls=len(calls), scored=scored,
+        streams=streams, uncached=uncached, stacks=stacks,
+    )
 
 
 @pytest.fixture(scope="module")
@@ -421,6 +442,22 @@ def test_sweep_calls_the_model_once_per_distinct_count_prefix(trie_sweep):
     # length L is one of comb(L + levels - 2, levels - 1) sequences.
     trie_bound = samples * sum(math.comb(L + levels - 2, levels - 1) for L in range(1, steps + 1))
     assert calls <= trie_bound < len(uncached) * samples * steps
+
+
+def test_sweep_draws_each_samples_noise_once(trie_run):
+    # 9 points x 2 samples share 2 latents; the step cache keeps each one.
+    samples = TRIE_CONFIG["sweep"]["samples"]
+    noise = sorted(names for names in trie_run.streams if names[0] == "sampling")
+    assert noise == [("sampling", s) for s in range(samples)]
+    # The kept noise is the noise each uncached point draws for itself, so
+    # the rows and the envelope are those of the points sampled alone.
+    envelope_ids = set(pareto_envelope(
+        [(cost, quality, point.index) for point, cost, quality, _ in trie_run.uncached]
+    ))
+    flags = [str(int(point.index in envelope_ids)) for point, *_ in trie_run.uncached]
+    assert [row[5] for row in trie_run.rows] == flags
+    flagged = [row for row, flag in zip(trie_run.rows, flags) if flag == "1"]
+    assert trie_run.envelope == sorted(flagged, key=lambda r: float(r[3]))
 
 
 def test_sweep_scores_each_distinct_image_stack_once(trie_run):

@@ -7,7 +7,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mtat.attention import AttentionMaps
+from mtat.attention import AttentionMaps, composed_attention_map
+from mtat.diffusion import ToyDiffusionModel, ToyModelConfig
 from mtat.errors import DimensionError, DomainError, NumericError, UsageError
 from mtat.redundancy import (
     Distribution,
@@ -16,6 +17,7 @@ from mtat.redundancy import (
     redundancy_score,
     trace_over_steps,
 )
+from mtat.tensor import no_grad
 from mtat.util import stream_rng
 
 LN2 = math.log(2.0)
@@ -213,6 +215,136 @@ def test_score_allocates_no_per_row_temporaries():
     finally:
         tracemalloc.stop()
     assert peak - base < 4 * head.nbytes
+
+
+@pytest.mark.parametrize(
+    "head",
+    [
+        [[0.5, 0.5], [1.5, -0.5]],  # negative mass, every row sums to 1
+        [[0.2, 0.2], [0.9, 0.9]],  # one distribution at two scales
+        [[0.5, 0.5], [math.nan, 1.0]],
+        [[0.5, 0.5], [math.inf, 0.0]],
+    ],
+    ids=["negative", "row-sums", "nan", "inf"],
+)
+def test_score_rejects_invalid_list_maps(head):
+    with pytest.raises(NumericError):
+        redundancy_score([np.array([[1.0, 0.0], [0.0, 1.0]]), np.array(head)])
+
+
+def test_score_accepts_list_maps_within_the_distribution_tolerance():
+    head = np.array([[0.5, 0.5 + 5e-7], [1.0, 0.0]])
+    assert abs(redundancy_score([head]) - JS_HALF_POINT) <= 1e-6
+
+
+# ---------------------------------------------------------------------------
+# the clamped kernel against its masked predecessor and a KL-form oracle
+
+
+def _masked_entropy(x):
+    # -sum x log x per row with 0 log 0 = 0, through a bool mask and a
+    # zero-filled log.
+    log = np.zeros_like(x)
+    np.log(x, out=log, where=x > 0.0)
+    np.multiply(log, x, out=log)
+    return np.negative(np.sum(log, axis=1))
+
+
+def masked_redundancy_score(heads, pair_cap=None, seed=0):
+    """The entropy-form kernel before clamping: masked logs of the raw
+    rows, pair sums halved per pair. Kept as the reference that the
+    clamped kernel must reproduce bit for bit on zero-free maps."""
+    rows = heads[0].shape[0]
+    total_pairs = rows * (rows - 1) // 2
+    score = 0.0
+    for head_index, head in enumerate(heads):
+        head = np.ascontiguousarray(head, dtype=np.float64)
+        entropies = _masked_entropy(head)
+        head_sum = 0.0
+        if pair_cap is None or pair_cap >= total_pairs:
+            blocks = [(np.full(rows - 1 - i, i), np.arange(i + 1, rows)) for i in range(rows - 1)]
+            scale = 1.0
+        else:
+            rng = stream_rng(seed, "redundancy-pairs", head_index)
+            chosen = np.sort(rng.choice(total_pairs, size=pair_cap, replace=False))
+            pairs = np.array(list(itertools.combinations(range(rows), 2)))[chosen]
+            blocks = [
+                (pairs[lo : lo + rows - 1, 0], pairs[lo : lo + rows - 1, 1])
+                for lo in range(0, pair_cap, rows - 1)
+            ]
+            scale = total_pairs / pair_cap
+        for a, b in blocks:
+            mix = head[a] + head[b]
+            mix *= 0.5
+            jsd = _masked_entropy(mix)
+            jsd -= 0.5 * (entropies[a] + entropies[b])
+            head_sum += float(np.sum(np.maximum(jsd, 0.0)))
+        score += head_sum * scale
+    return 2.0 * score / (len(heads) * rows * (rows - 1))
+
+
+def softmax_heads(rng, heads, rows, width, scale=1.0, underflow=0.0):
+    # A share ``underflow`` of the logits sits 800 below the rest, so its
+    # weights underflow to exactly 0.
+    logits = scale * rng.standard_normal((heads, rows, width))
+    logits[rng.uniform(size=logits.shape) < underflow] -= 800.0
+    weights = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    return list(weights / weights.sum(axis=-1, keepdims=True))
+
+
+def kl_form_mean_jsd(heads, block=32):
+    # Mean JSD over heads and unordered row pairs from
+    # JSD = KL(p || m) / 2 + KL(q || m) / 2, a block of rows at a time.
+    # Zero entries take log 1 = 0, which their zero weight cancels.
+    total, pairs = 0.0, 0
+    for head in heads:
+        n = head.shape[0]
+        log_head = np.log(np.where(head > 0.0, head, 1.0))
+        for lo in range(0, n, block):
+            p, q = head[lo : lo + block, None, :], head[None, :, :]
+            m = 0.5 * (p + q)
+            log_m = np.log(np.where(m > 0.0, m, 1.0))
+            kl_p = (p * (log_head[lo : lo + block, None, :] - log_m)).sum(axis=-1)
+            kl_q = (q * (log_head[None, :, :] - log_m)).sum(axis=-1)
+            upper = np.arange(lo, min(lo + block, n))[:, None] < np.arange(n)[None, :]
+            total += float((0.5 * (kl_p + kl_q))[upper].sum())
+        pairs += n * (n - 1) // 2
+    return total / pairs
+
+
+def test_score_equals_the_masked_kernel_on_zero_free_maps():
+    rng = np.random.default_rng(82)
+    heads = softmax_heads(rng, 2, 256, 256)
+    assert min(float(h.min()) for h in heads) > 0.0
+    assert redundancy_score(heads) == masked_redundancy_score(heads)
+    for width in range(1, 41):
+        narrow = softmax_heads(rng, 2, 9, width, scale=3.0)
+        assert redundancy_score(narrow) == masked_redundancy_score(narrow)
+
+
+def test_sampled_score_equals_the_masked_kernel_on_zero_free_maps():
+    rng = np.random.default_rng(83)
+    heads = softmax_heads(rng, 2, 256, 256)
+    for cap in (1, 255, 4000):
+        want = masked_redundancy_score(heads, pair_cap=cap, seed=7)
+        assert redundancy_score(heads, pair_cap=cap, seed=7) == want
+
+
+def test_score_matches_the_kl_form_oracle_at_256_rows():
+    rng = np.random.default_rng(84)
+    underflowed = softmax_heads(rng, 2, 256, 256, scale=3.0, underflow=0.3)
+    assert all(0.2 < np.mean(h == 0.0) < 0.4 for h in underflowed)
+
+    cfg = ToyModelConfig(grid_h=16, grid_w=16)
+    model = ToyDiffusionModel(cfg, seed=5)
+    assert cfg.n_tokens == 256 and cfg.default_mediators == 4
+    with no_grad():
+        _, (_, mediated) = model.forward(
+            rng.standard_normal((cfg.n_tokens, cfg.channels)), 0.9, 1, capture=True
+        )
+    composed = composed_attention_map(mediated)
+    for heads in (underflowed, composed):
+        assert abs(redundancy_score(heads) - kl_form_mean_jsd(heads)) <= 1e-15
 
 
 def test_score_accepts_attention_maps_capture():
