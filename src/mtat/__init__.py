@@ -77,9 +77,7 @@ from .serialize import (
     save_checkpoint,
     save_tensor,
     tensor_from_bytes,
-    tensor_from_json,
     tensor_to_bytes,
-    tensor_to_json,
 )
 from .tensor import (
     GradRecord,

@@ -324,17 +324,21 @@ def cmd_sweep(args):
         metrics=sweep_cfg["metrics"],
         two_level=bool(sweep_cfg["two_level"]),
     )
-    # A count with no mediator grid fails every point; report it once.
+    # A count with no mediator grid, or a sample or step count below one,
+    # fails every point; report it once.
     for count in sweep_cfg["counts"]:
         MediatorConfig.from_count(count, model.cfg.attention_config)
+    steps = int(sweep_cfg["steps"])
+    per_point_samples = int(sweep_cfg["samples"])
+    for key, value in (("samples", per_point_samples), ("steps", steps)):
+        if value < 1:
+            raise ConfigError(f"sweep.{key} must be at least 1, got {value}")
     ref_data = synth_dataset(
         child_seed(seed, "sweep", "reference"),
         model.cfg.classes, model.cfg.grid_h, model.cfg.grid_w,
         int(sweep_cfg["reference_size"]), model.cfg.channels,
     )
     reference = FidReference.fit(ref_data.images, seed=seed)
-    steps = int(sweep_cfg["steps"])
-    per_point_samples = int(sweep_cfg["samples"])
     # Every point draws sample s from the same noise, so points differ only
     # in schedule, and points whose counts agree so far share those steps:
     # one cache per sample holds them, and the sample's noise, for this

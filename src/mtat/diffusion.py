@@ -11,7 +11,7 @@ so one set of weights serves every schedule level.
 import functools
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -305,9 +305,7 @@ class ToyDiffusionModel:
             raise DomainError(f"label {label} outside [0, {cfg.classes})")
         count = cfg.default_mediators if mediator_count is None else int(mediator_count)
         attn_cfg = cfg.attention_config
-        if isinstance(x, Tensor):
-            tokens = x
-        elif times.ndim:
+        if times.ndim:
             tokens = Tensor(np.stack([tokens_from_image(sample, cfg) for sample in x]))
         else:
             tokens = Tensor(tokens_from_image(x, cfg))
@@ -485,39 +483,29 @@ def synth_dataset(seed, classes, grid_h, grid_w, size, channels=1):
 class ModelBundle:
     """Adapter exposing a trained model to the sampling loop.
 
-    Default mode runs one weight set for every mediator count, since
-    pooling has no parameters. ``models_by_count`` switches to separate
-    per-count weights instead: when the scheduler selects a count with
-    an entry there, that model serves the step; counts without an entry
-    fall back to the shared model. All models must share a config.
+    One weight set serves every mediator count, since pooling has no
+    parameters; ``default_count``, the model's default, runs every step
+    of an unscheduled run.
     """
 
-    def __init__(self, model, label, capture=False, default_count=None, models_by_count=None):
+    def __init__(self, model, label, capture=False):
         self.model = model
         self.label = int(label)
         self.capture = capture
         self.step_maps = []
-        self.models_by_count = dict(models_by_count or {})
-        for other in self.models_by_count.values():
-            if other.cfg != model.cfg:
-                raise ConfigError("per-count models must share the base model's config")
-        self.default_count = (
-            model.cfg.default_mediators if default_count is None else int(default_count)
-        )
-
-    def _model_for(self, count):
-        return self.models_by_count.get(count, self.model)
+        self.default_count = model.cfg.default_mediators
 
     def velocity(self, x, t, count):
-        model = self._model_for(count)
         with no_grad():
-            out, maps = model.forward(x, t, self.label, mediator_count=count, capture=self.capture)
+            out, maps = self.model.forward(
+                x, t, self.label, mediator_count=count, capture=self.capture
+            )
         if self.capture:
             self.step_maps.append(maps)
         return out.data
 
     def step_flops(self, count):
-        return self._model_for(count).step_flops(count)
+        return self.model.step_flops(count)
 
 
 @dataclass
@@ -525,61 +513,43 @@ class SampleResult:
     image: np.ndarray
     trace: object
     flops: FlopsReport
-    trajectory: list = field(default_factory=list)
 
 
-def euler_sample(
-    model,
-    label,
-    steps,
-    seed,
-    schedule=None,
-    mediator_count=None,
-    record_trajectory=False,
-    sample_index=0,
-    models_by_count=None,
-    cache=None,
-):
+def _initial_noise(cfg, seed, sample_index):
+    """The t=1 latent that sample ``sample_index`` under ``seed`` starts from."""
+    rng = stream_rng(seed, "sampling", int(sample_index))
+    return rng.standard_normal((cfg.n_tokens, cfg.channels))
+
+
+def euler_sample(model, label, steps, seed, schedule=None, sample_index=0, cache=None):
     """Draw one sample by deterministic Euler integration from noise.
 
-    ``mediator_count`` overrides the model default when no schedule is
-    given; ``sample_index`` separates the noise streams of samples drawn
-    under one seed; ``models_by_count`` swaps in per-count weight sets
-    as the schedule advances; ``cache`` goes to ``run_scheduled_sampling``
-    and may only be shared between calls with the same models, label,
-    seed, sample index and step count. The cache also keeps the initial
-    noise, read-only, under the key ``"noise"`` (step keys are tuples),
-    so calls that share a cache draw it once. Returns a SampleResult
-    with the final image on the spatial grid; the trajectory, when
-    recorded, stores each intermediate token matrix including the
-    initial noise.
+    ``sample_index`` separates the noise streams of samples drawn under
+    one seed; ``cache`` goes to ``run_scheduled_sampling`` and may only
+    be shared between calls with the same model, label, seed, sample
+    index and step count. The cache also keeps the initial noise,
+    read-only, under the key ``"noise"`` (step keys are tuples), so
+    calls that share a cache draw it once. Returns a SampleResult with
+    the final image on the spatial grid.
     """
     cfg = model.cfg
     x_init = None if cache is None else cache.get("noise")
     if x_init is None:
-        rng = stream_rng(seed, "sampling", int(sample_index))
-        x_init = rng.standard_normal((cfg.n_tokens, cfg.channels))
+        x_init = _initial_noise(cfg, seed, sample_index)
         if cache is not None:
             x_init.flags.writeable = False
             cache["noise"] = x_init
-    bundle = ModelBundle(
-        model, label, default_count=mediator_count, models_by_count=models_by_count
+    final, trace, flops = run_scheduled_sampling(
+        ModelBundle(model, label), x_init, steps, schedule, cache
     )
-    trajectory = [x_init.copy()] if record_trajectory else []
-
-    def on_step(step, x):
-        if record_trajectory:
-            trajectory.append(x.copy())
-
-    final, trace, flops = run_scheduled_sampling(bundle, x_init, steps, schedule, on_step, cache)
-    return SampleResult(
-        image=image_from_tokens(final, cfg), trace=trace, flops=flops, trajectory=trajectory
-    )
+    return SampleResult(image=image_from_tokens(final, cfg), trace=trace, flops=flops)
 
 
 def capture_redundancy(model, labels, steps, seed, schedule=None, pair_cap=None, model_id=""):
     """Sample once per label while recording attention maps, then score
     them. Mediated layers are composed to full maps before scoring.
+    Sample ``s`` starts from the noise of ``euler_sample`` with
+    ``sample_index=s``.
 
     Returns a RedundancyTrace with scores averaged over the samples; its
     ``timing`` adds the capture wall time to the scoring time.
@@ -587,11 +557,8 @@ def capture_redundancy(model, labels, steps, seed, schedule=None, pair_cap=None,
     start = time.perf_counter()
     captured = []
     for s, label in enumerate(labels):
-        cfg = model.cfg
-        rng = stream_rng(seed, "sampling", s)
-        x_init = rng.standard_normal((cfg.n_tokens, cfg.channels))
         bundle = ModelBundle(model, label, capture=True)
-        run_scheduled_sampling(bundle, x_init, steps, schedule)
+        run_scheduled_sampling(bundle, _initial_noise(model.cfg, seed, s), steps, schedule)
         sample_steps = []
         for step_maps in bundle.step_maps:
             layers = [

@@ -124,9 +124,11 @@ class MediatorSchedule:
                 ScheduleLevel(float(lv["rho"]), int(lv["n"])) for lv in payload.get("levels", [])
             )
             metric = str(payload.get("metric", "l1"))
-            latching = bool(payload.get("latching", True))
+            latching = payload.get("latching", True)
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"malformed schedule: {exc}") from exc
+        if not isinstance(latching, bool):
+            raise ConfigError(f"schedule latching must be true or false, got {latching!r}")
         return cls(start_count=start, levels=levels, metric=metric, latching=latching)
 
 
@@ -175,7 +177,7 @@ class LatentTrace:
         return "\n".join(lines) + "\n"
 
 
-def run_scheduled_sampling(bundle, x_init, steps, schedule=None, on_step=None, cache=None):
+def run_scheduled_sampling(bundle, x_init, steps, schedule=None, cache=None):
     """Deterministic Euler sampling from t=1 noise down to t=0.
 
     ``bundle`` supplies ``velocity(x, t, count)`` and
@@ -196,7 +198,7 @@ def run_scheduled_sampling(bundle, x_init, steps, schedule=None, on_step=None, c
     velocity's shape and the new latent's finiteness. One cache serves
     one (model, label, initial latent, step count), for any metrics; a
     capturing bundle records maps only for the steps it computes. With a
-    cache, the latents passed to ``on_step`` and returned are read-only.
+    cache, the returned latent is read-only.
 
     Returns (final latent, LatentTrace, summed FlopsReport).
     """
@@ -238,8 +240,6 @@ def run_scheduled_sampling(bundle, x_init, steps, schedule=None, on_step=None, c
         if schedule is not None and trace.delta0 > 0.0:
             count, level = select_mediator_count(delta, trace.delta0, level, schedule)
         x = x_next
-        if on_step is not None:
-            on_step(k, x)
     return x, trace, total
 
 

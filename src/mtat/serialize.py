@@ -1,4 +1,4 @@
-"""Binary and JSON containers for tensors and checkpoints.
+"""Binary containers for tensors and checkpoints.
 
 Single-tensor layout (little-endian throughout):
 
@@ -12,7 +12,6 @@ length, the UTF-8 name, and an embedded single-tensor record. Entries
 are written in sorted name order so equal checkpoints are equal bytes.
 """
 
-import json
 import struct
 
 import numpy as np
@@ -87,22 +86,6 @@ def save_tensor(path, t):
 def load_tensor(path):
     with open(path, "rb") as handle:
         return tensor_from_bytes(handle.read())
-
-
-def tensor_to_json(t):
-    """Readable text form carrying the same shape and values."""
-    arr = np.asarray(t.data, dtype=np.float64)
-    return json.dumps({"shape": list(arr.shape), "data": arr.reshape(-1).tolist()})
-
-
-def tensor_from_json(text):
-    try:
-        payload = json.loads(text)
-        shape = tuple(int(s) for s in payload["shape"])
-        data = np.array(payload["data"], dtype=np.float64).reshape(shape)
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"malformed tensor JSON: {exc}") from exc
-    return Tensor(data)
 
 
 def checkpoint_to_bytes(tensors):

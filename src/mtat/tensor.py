@@ -142,9 +142,6 @@ class Tensor:
             raise DimensionError(f"item() needs a single element, got shape {self.shape}")
         return float(self.data.reshape(()))
 
-    def detach(self):
-        return Tensor(self.data.copy())
-
     def __repr__(self):
         flags = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}{flags})"

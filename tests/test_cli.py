@@ -315,6 +315,26 @@ def test_sweep_rejects_out_of_grid_counts_before_any_point_runs(tmp_path, capsys
     assert not (out / "sweep.csv").exists()
 
 
+@pytest.mark.parametrize("key", ["samples", "steps"])
+def test_sweep_rejects_a_zero_sample_or_step_count_before_any_point_runs(tmp_path, capsys, key):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"sweep": {key: 0}}))
+    out = tmp_path / "run"
+    assert main(["sweep", "--config", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: sweep.{key} must be at least 1, got 0\n"
+    for name in ("sweep.csv", "envelope.csv", "failures.csv"):
+        assert not (out / name).exists()
+
+
+def test_sample_rejects_a_non_boolean_latching_flag(tmp_path, capsys):
+    path = tmp_path / "schedule.json"
+    path.write_text(json.dumps({"n1": 4, "latching": "false"}))
+    out = tmp_path / "run"
+    assert main(["sample", "--schedule", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: schedule latching must be true or false")
+    assert not list(out.glob("sample_*"))
+
+
 def test_sweep_reruns_are_byte_identical(tmp_path, config_path, micro_ckpt):
     out_a, out_b = tmp_path / "a", tmp_path / "b"
     sweep = ["sweep", "--config", config_path, "--ckpt", micro_ckpt, "--out"]

@@ -500,8 +500,9 @@ def test_single_step_sample_is_noise_minus_velocity():
 
 def test_untrained_model_sample_returns_the_noise():
     model = ToyDiffusionModel(MICRO, seed=0)
-    result = euler_sample(model, 0, 4, seed=9, record_trajectory=True)
-    assert np.array_equal(result.image, image_from_tokens(result.trajectory[0], MICRO))
+    result = euler_sample(model, 0, 4, seed=9)
+    noise = stream_rng(9, "sampling", 0).standard_normal((16, 1))
+    assert np.array_equal(result.image, image_from_tokens(noise, MICRO))
     assert result.trace.deltas == [0.0, 0.0, 0.0, 0.0]
     assert result.trace.delta0 == 0.0
 
@@ -524,19 +525,6 @@ def test_sample_indices_draw_distinct_noise():
     assert not np.array_equal(a.image, b.image)
 
 
-def test_trajectory_records_every_state():
-    model = warmed_model()
-    result = euler_sample(model, 0, 5, seed=2, record_trajectory=True)
-    assert len(result.trajectory) == 6
-    assert np.array_equal(
-        image_from_tokens(result.trajectory[-1], MICRO), result.image
-    )
-    moved = [
-        np.abs(a - b).max() for a, b in zip(result.trajectory, result.trajectory[1:])
-    ]
-    assert all(m > 0 for m in moved)
-
-
 def test_sampling_leaves_weights_untouched():
     model = warmed_model()
     before = {name: p.data.tobytes() for name, p in model.params.items()}
@@ -554,32 +542,6 @@ def test_scheduled_sampling_switches_counts():
     assert result.trace.selected[0] == 2
     assert set(result.trace.selected[1:]) == {8}
     assert result.trace.step_macs[0] < result.trace.step_macs[1]
-
-
-def test_per_count_weights_take_over_after_the_switch():
-    base = warmed_model(seed=0)
-    other = warmed_model(seed=1)
-    schedule = MediatorSchedule(2, (ScheduleLevel(1.0, 8),))
-    shared = euler_sample(base, 0, 4, seed=1, schedule=schedule)
-    swapped = euler_sample(
-        base, 0, 4, seed=1, schedule=schedule, models_by_count={8: other}
-    )
-    assert not np.array_equal(shared.image, swapped.image)
-    # the first step runs before any switch, on the base weights
-    assert shared.trace.deltas[0] == swapped.trace.deltas[0]
-
-
-def test_per_count_weights_must_share_config():
-    base = warmed_model()
-    misfit = ToyDiffusionModel(
-        ToyModelConfig(
-            grid_h=4, grid_w=4, hidden=8, heads=2, time_width=4,
-            classes=3, default_mediators=2, mlp_ratio=2,
-        ),
-        seed=0,
-    )
-    with pytest.raises(ConfigError):
-        ModelBundle(base, 0, models_by_count={8: misfit})
 
 
 # ---------------------------------------------------------------------------
@@ -600,6 +562,30 @@ def test_capture_matches_direct_scores():
     assert trace.scores[1, 1] == redundancy_score(
         composed_attention_map(bundle.step_maps[1][1])
     )
+
+
+def test_capture_sample_starts_from_the_euler_sample_noise(monkeypatch):
+    model = warmed_model()
+    starts = []
+    velocity = ModelBundle.velocity
+
+    def recording(self, x, t, count):
+        if t == 1.0:
+            starts.append((self.label, np.array(x)))
+        return velocity(self, x, t, count)
+
+    monkeypatch.setattr(ModelBundle, "velocity", recording)
+    labels = [1, 0]
+    capture_redundancy(model, labels, steps=2, seed=6)
+    captured = list(starts)
+    starts.clear()
+    for s, label in enumerate(labels):
+        euler_sample(model, label, 2, seed=6, sample_index=s)
+    assert len(captured) == len(starts) == 2
+    for (cap_label, cap_x), (label, x) in zip(captured, starts):
+        assert cap_label == label
+        assert np.array_equal(cap_x, x)
+    assert not np.array_equal(starts[0][1], starts[1][1])
 
 
 def test_capture_scores_stay_in_bounds():

@@ -113,6 +113,12 @@ def test_non_latching_flag_survives_json():
     assert MediatorSchedule.from_json_dict(payload) == schedule
 
 
+@pytest.mark.parametrize("latching", ["false", 0, None])
+def test_latching_must_be_a_json_boolean(latching):
+    with pytest.raises(ConfigError, match="latching"):
+        MediatorSchedule.from_json_dict({"n1": 4, "latching": latching})
+
+
 # ---------------------------------------------------------------------------
 # selection semantics: the three worked fixtures
 

@@ -1,4 +1,4 @@
-"""Binary and JSON container round-trips plus corruption handling."""
+"""Binary container round-trips plus corruption handling."""
 
 import struct
 
@@ -16,9 +16,7 @@ from mtat.serialize import (
     save_checkpoint,
     save_tensor,
     tensor_from_bytes,
-    tensor_from_json,
     tensor_to_bytes,
-    tensor_to_json,
 )
 from mtat.tensor import Tensor
 
@@ -62,20 +60,6 @@ def test_tensor_file_roundtrip(tmp_path):
     data = np.random.default_rng(1).standard_normal((5, 3))
     save_tensor(path, Tensor(data))
     assert np.array_equal(load_tensor(path).data, data)
-
-
-def test_tensor_json_roundtrip():
-    t = Tensor([[0.5, -1.25], [3.0, 0.0]])
-    back = tensor_from_json(tensor_to_json(t))
-    assert back.shape == (2, 2)
-    assert np.array_equal(back.data, t.data)
-
-
-def test_tensor_json_malformed():
-    with pytest.raises(ConfigError):
-        tensor_from_json("{not json")
-    with pytest.raises(ConfigError):
-        tensor_from_json('{"shape": [2], "data": [1.0, 2.0, 3.0]}')
 
 
 def test_checkpoint_roundtrip_and_key_order_independence():
