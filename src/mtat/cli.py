@@ -95,15 +95,38 @@ def default_config():
     }
 
 
+_JSON_TYPES = (
+    (bool, "a boolean"), (int, "an integer"), (float, "a number"),
+    (str, "a string"), (list, "a list"), (dict, "an object"),
+)
+
+
+def _json_type(value):
+    return next((name for kind, name in _JSON_TYPES if isinstance(value, kind)), None)
+
+
+def _check_type(default, value, key):
+    """An override must have its default's JSON type: an integer passes for
+    a number, a list's items follow the default's first item, and a null
+    default leaves the value to ``_resolve``'s own checks."""
+    want, got = _json_type(default), _json_type(value)
+    if want is None:
+        return
+    if got != want and (want, got) != ("a number", "an integer"):
+        raise ConfigError(f"config key {key} must be {want}, got {value!r}")
+    if want == "a list":
+        for i, item in enumerate(value):
+            _check_type(default[0], item, f"{key}[{i}]")
+
+
 def _merge(base, override, path=""):
     for key, value in override.items():
         if path == "" and key in _META_KEYS:
             continue
         if key not in base:
             raise ConfigError(f"unknown config key {path}{key}")
-        if isinstance(base[key], dict) and key != "schedule":
-            if not isinstance(value, dict):
-                raise ConfigError(f"config key {path}{key} must be an object")
+        _check_type(base[key], value, f"{path}{key}")
+        if isinstance(base[key], dict):
             _merge(base[key], value, f"{path}{key}.")
         else:
             base[key] = value
@@ -125,18 +148,18 @@ def load_config(path):
     return _merge(default_config(), user)
 
 
-def _resolve(args, command):
+def _resolve(args):
+    """The run's configuration: defaults, then the config file, then flags.
+    Everything checked here fails before the run writes anything."""
+    command = args.command
     config = load_config(args.config)
-    if getattr(args, "seed", None) is not None:
-        config["seed"] = int(args.seed)
-    if getattr(args, "steps", None) is not None:
-        section = {"train": "train", "sample": "sampler", "redundancy": "redundancy"}.get(command)
-        if section:
-            config[section]["steps"] = int(args.steps)
-    if getattr(args, "samples", None) is not None:
-        section = {"sample": "sampler", "redundancy": "redundancy"}.get(command)
-        if section:
-            config[section]["samples"] = int(args.samples)
+    if args.seed is not None:
+        config["seed"] = args.seed
+    # Each integer flag overrides the key of its name in the command's section.
+    section = {"sample": "sampler"}.get(command, command)
+    for key in ("steps", "samples", "channels", "heads", "mediators"):
+        if getattr(args, key, None) is not None:
+            config[section][key] = getattr(args, key)
     if getattr(args, "schedule", None):
         try:
             with open(args.schedule, encoding="utf-8") as handle:
@@ -147,13 +170,17 @@ def _resolve(args, command):
             raise ConfigError(f"schedule file is not valid JSON: {exc}") from exc
     if command == "flops" and getattr(args, "n", None):
         config["flops"]["counts"] = _int_list(args.n, "--n")
-    if command == "bench":
-        if args.sizes is not None:
-            config["bench"]["sizes"] = _int_list(args.sizes, "--sizes")
-        for key in ("channels", "heads", "mediators"):
-            value = getattr(args, key, None)
-            if value is not None:
-                config["bench"][key] = int(value)
+    if command == "bench" and args.sizes is not None:
+        config["bench"]["sizes"] = _int_list(args.sizes, "--sizes")
+    if config["seed"] < 0:
+        raise ConfigError(f"seed must be non-negative, got {config['seed']}")
+    pair_cap = config["redundancy"]["pair_cap"]
+    if pair_cap is not None and (_json_type(pair_cap) != "an integer" or pair_cap < 1):
+        raise ConfigError(
+            f"redundancy.pair_cap must be null or a positive integer, got {pair_cap!r}"
+        )
+    ToyModelConfig.from_json_dict(config["model"])
+    _schedule_from_config(config)
     return config
 
 
@@ -164,9 +191,9 @@ def _int_list(raw, flag):
         raise ConfigError(f"{flag} expects comma-separated integers, got {raw!r}") from exc
 
 
-def _write_resolved(out_dir, config, command, args):
+def _write_resolved(out_dir, config, args):
     payload = copy.deepcopy(config)
-    payload["command"] = command
+    payload["command"] = args.command
     payload["invocation"] = {
         "out": out_dir,
         "config": getattr(args, "config", None),
@@ -192,33 +219,22 @@ def _schedule_from_config(config):
     return MediatorSchedule.from_json_dict(config["schedule"])
 
 
-def _out_dir(args, command):
-    return args.out if args.out else os.path.join("runs", command)
-
-
 # ---------------------------------------------------------------------------
 # commands
 
 
-def cmd_train(args):
-    command = "train"
-    config = _resolve(args, command)
-    out = _out_dir(args, command)
-    os.makedirs(out, exist_ok=True)
-    _write_resolved(out, config, command, args)
-
+def cmd_train(args, config, out):
     seed = config["seed"]
     model_cfg = ToyModelConfig.from_json_dict(config["model"])
     data_cfg, train_cfg = config["data"], config["train"]
     data = synth_dataset(
         seed, model_cfg.classes, model_cfg.grid_h, model_cfg.grid_w,
-        int(data_cfg["size"]), model_cfg.channels,
+        data_cfg["size"], model_cfg.channels,
     )
     model = ToyDiffusionModel(model_cfg, seed=seed)
-    optimizer = SgdState(SgdConfig(lr=float(train_cfg["lr"]), momentum=float(train_cfg["momentum"])))
+    optimizer = SgdState(SgdConfig(lr=train_cfg["lr"], momentum=train_cfg["momentum"]))
     draw = stream_rng(seed, "data", "train")
-    batch = int(train_cfg["batch"])
-    steps = int(train_cfg["steps"])
+    batch, steps = train_cfg["batch"], train_cfg["steps"]
 
     lines = ["step,loss"]
     first_loss, last_loss = None, None
@@ -238,19 +254,11 @@ def cmd_train(args):
     return 0
 
 
-def cmd_sample(args):
-    command = "sample"
-    config = _resolve(args, command)
-    out = _out_dir(args, command)
-    os.makedirs(out, exist_ok=True)
-    _write_resolved(out, config, command, args)
-
+def cmd_sample(args, config, out):
     seed = config["seed"]
     model = _model_from_config(config, args.ckpt)
     schedule = _schedule_from_config(config)
-    sampler_cfg = config["sampler"]
-    steps = int(sampler_cfg["steps"])
-    samples = int(sampler_cfg["samples"])
+    steps, samples = config["sampler"]["steps"], config["sampler"]["samples"]
 
     per_sample = []
     total = FlopsReport()
@@ -278,24 +286,15 @@ def cmd_sample(args):
     return 0
 
 
-def cmd_redundancy(args):
-    command = "redundancy"
-    config = _resolve(args, command)
-    out = _out_dir(args, command)
-    os.makedirs(out, exist_ok=True)
-    _write_resolved(out, config, command, args)
-
+def cmd_redundancy(args, config, out):
     seed = config["seed"]
     model = _model_from_config(config, args.ckpt)
     schedule = _schedule_from_config(config)
     red_cfg = config["redundancy"]
-    steps = int(red_cfg["steps"])
-    samples = int(red_cfg["samples"])
-    pair_cap = red_cfg["pair_cap"]
+    steps, samples = red_cfg["steps"], red_cfg["samples"]
     labels = [i % model.cfg.classes for i in range(samples)]
     trace = capture_redundancy(
-        model, labels, steps, seed, schedule=schedule,
-        pair_cap=None if pair_cap is None else int(pair_cap),
+        model, labels, steps, seed, schedule=schedule, pair_cap=red_cfg["pair_cap"]
     )
     write_text_atomic(os.path.join(out, "redundancy.csv"), trace.to_csv())
     # Wall-clock data stays out of redundancy.csv, which reruns reproduce.
@@ -308,13 +307,7 @@ def cmd_redundancy(args):
     return 0
 
 
-def cmd_sweep(args):
-    command = "sweep"
-    config = _resolve(args, command)
-    out = _out_dir(args, command)
-    os.makedirs(out, exist_ok=True)
-    _write_resolved(out, config, command, args)
-
+def cmd_sweep(args, config, out):
     seed = config["seed"]
     model = _model_from_config(config, args.ckpt)
     sweep_cfg = config["sweep"]
@@ -322,21 +315,20 @@ def cmd_sweep(args):
         rho_values=sweep_cfg["rho_values"],
         counts=sweep_cfg["counts"],
         metrics=sweep_cfg["metrics"],
-        two_level=bool(sweep_cfg["two_level"]),
+        two_level=sweep_cfg["two_level"],
     )
     # A count with no mediator grid, or a sample or step count below one,
     # fails every point; report it once.
     for count in sweep_cfg["counts"]:
         MediatorConfig.from_count(count, model.cfg.attention_config)
-    steps = int(sweep_cfg["steps"])
-    per_point_samples = int(sweep_cfg["samples"])
+    steps, per_point_samples = sweep_cfg["steps"], sweep_cfg["samples"]
     for key, value in (("samples", per_point_samples), ("steps", steps)):
         if value < 1:
             raise ConfigError(f"sweep.{key} must be at least 1, got {value}")
     ref_data = synth_dataset(
         child_seed(seed, "sweep", "reference"),
         model.cfg.classes, model.cfg.grid_h, model.cfg.grid_w,
-        int(sweep_cfg["reference_size"]), model.cfg.channels,
+        sweep_cfg["reference_size"], model.cfg.channels,
     )
     reference = FidReference.fit(ref_data.images, seed=seed)
     # Every point draws sample s from the same noise, so points differ only
@@ -437,24 +429,11 @@ _PUBLISHED_REFERENCE = {
 }
 
 
-def cmd_flops(args):
-    command = "flops"
-    config = _resolve(args, command)
-    out = _out_dir(args, command)
-    os.makedirs(out, exist_ok=True)
-    _write_resolved(out, config, command, args)
-
+def cmd_flops(args, config, out):
     stack = config["flops"]
     grid = stack["grid"]
-    attn_cfg = AttentionConfig(
-        n_tokens=int(stack["n_tokens"]),
-        channels=int(stack["channels"]),
-        heads=int(stack["heads"]),
-        grid_h=int(grid[0]),
-        grid_w=int(grid[1]),
-    )
-    layers = int(stack["layers"])
-    counts = [int(n) for n in stack["counts"]]
+    attn_cfg = AttentionConfig(stack["n_tokens"], stack["channels"], stack["heads"], grid[0], grid[1])
+    layers, counts = stack["layers"], stack["counts"]
 
     baseline = attention_flops(attn_cfg, layers)
     rows = {"baseline": baseline.to_json_dict(), "mediator": {}}
@@ -488,16 +467,10 @@ def cmd_flops(args):
     return 0
 
 
-def cmd_bench(args):
-    command = "bench"
-    config = _resolve(args, command)
-    out = _out_dir(args, command)
-    os.makedirs(out, exist_ok=True)
-    _write_resolved(out, config, command, args)
-
+def cmd_bench(args, config, out):
     bench = config["bench"]
-    sizes = [int(s) for s in bench["sizes"]]
-    channels, heads, mediators = int(bench["channels"]), int(bench["heads"]), int(bench["mediators"])
+    sizes = bench["sizes"]
+    channels, heads, mediators = bench["channels"], bench["heads"], bench["mediators"]
     rows = []
     rng = stream_rng(config["seed"], "bench")
     from .attention import MultiHeadParams, mediator_attention, multi_head_attention
@@ -612,7 +585,10 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args) or 0
+        config = _resolve(args)
+        out = args.out or os.path.join("runs", args.command)
+        _write_resolved(out, config, args)
+        return args.func(args, config, out) or 0
     except (ConfigError, UsageError, DimensionError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -11,7 +11,7 @@ so one set of weights serves every schedule level.
 import functools
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -114,35 +114,23 @@ class ToyModelConfig:
         return AttentionConfig(self.n_tokens, self.hidden, self.heads, self.grid_h, self.grid_w)
 
     def to_json_dict(self):
-        return {
-            "grid": [self.grid_h, self.grid_w],
-            "channels": self.channels,
-            "hidden": self.hidden,
-            "heads": self.heads,
-            "layer_kinds": list(self.layer_kinds),
-            "time_width": self.time_width,
-            "classes": self.classes,
-            "default_mediators": self.default_mediators,
-            "mlp_ratio": self.mlp_ratio,
-        }
+        payload = {field.name: getattr(self, field.name) for field in fields(self)}
+        payload["grid"] = [payload.pop("grid_h"), payload.pop("grid_w")]
+        payload["layer_kinds"] = list(self.layer_kinds)
+        return payload
 
     @classmethod
     def from_json_dict(cls, payload):
+        """The inverse of ``to_json_dict``; absent keys take the defaults."""
+        payload = dict(payload)
+        grid = payload.pop("grid", None)
+        if grid is not None:
+            if not isinstance(grid, list) or len(grid) != 2:
+                raise ConfigError(f"model grid must be a list of two extents, got {grid!r}")
+            payload["grid_h"], payload["grid_w"] = grid
         try:
-            grid = payload.get("grid", [8, 8])
-            return cls(
-                grid_h=int(grid[0]),
-                grid_w=int(grid[1]),
-                channels=int(payload.get("channels", 1)),
-                hidden=int(payload.get("hidden", 16)),
-                heads=int(payload.get("heads", 2)),
-                layer_kinds=tuple(payload.get("layer_kinds", ("vanilla", "mediator"))),
-                time_width=int(payload.get("time_width", 8)),
-                classes=int(payload.get("classes", 4)),
-                default_mediators=int(payload.get("default_mediators", 4)),
-                mlp_ratio=int(payload.get("mlp_ratio", 4)),
-            )
-        except (TypeError, ValueError, IndexError) as exc:
+            return cls(**payload)
+        except TypeError as exc:
             raise ConfigError(f"malformed model config: {exc}") from exc
 
 
@@ -161,6 +149,45 @@ def tokens_from_image(image, cfg):
 def image_from_tokens(tokens, cfg):
     arr = np.asarray(tokens, dtype=np.float64)
     return arr.reshape(cfg.grid_h, cfg.grid_w, cfg.channels)
+
+
+_ATTENTION_WEIGHTS = tuple(field.name for field in fields(MultiHeadParams))
+
+
+def _param_table(cfg):
+    """Every parameter of a ``cfg`` model as (name, shape, init), in the
+    order the ``init`` stream draws them. ``init`` is "normal" (std
+    fan_in**-0.5, fan_in the leading extent), "embed" (std 0.5), "zeros"
+    or "ones"; only the first two draw.
+    """
+    hid, mlp = cfg.hidden, cfg.mlp_ratio * cfg.hidden
+    table = [
+        ("in_proj.w", (cfg.channels, hid), "normal"),
+        ("in_proj.b", (hid,), "zeros"),
+        ("time_proj.w", (cfg.time_width, hid), "normal"),
+        ("time_proj.b", (hid,), "zeros"),
+        ("class_embed", (cfg.classes, hid), "embed"),
+        ("head.w", (hid, cfg.channels), "zeros"),
+        ("head.b", (cfg.channels,), "zeros"),
+    ]
+    for i, kind in enumerate(cfg.layer_kinds):
+        prefix = f"layer{i}"
+        table += [
+            (f"{prefix}.norm1.gain", (hid,), "ones"),
+            (f"{prefix}.norm1.bias", (hid,), "zeros"),
+        ]
+        table += [(f"{prefix}.attn.{w}", (hid, hid), "normal") for w in _ATTENTION_WEIGHTS]
+        if kind == "mediator":
+            table.append((f"{prefix}.attn.dw", (3, 3, hid), "zeros"))
+        table += [
+            (f"{prefix}.norm2.gain", (hid,), "ones"),
+            (f"{prefix}.norm2.bias", (hid,), "zeros"),
+            (f"{prefix}.mlp.w1", (hid, mlp), "normal"),
+            (f"{prefix}.mlp.b1", (mlp,), "zeros"),
+            (f"{prefix}.mlp.w2", (mlp, hid), "normal"),
+            (f"{prefix}.mlp.b2", (hid,), "zeros"),
+        ]
+    return table
 
 
 @functools.lru_cache(maxsize=64)
@@ -193,75 +220,20 @@ class ToyDiffusionModel:
         self._validate_params()
 
     def _init_params(self, seed):
-        cfg = self.cfg
         rng = stream_rng(seed, "init")
-        hid = cfg.hidden
-        mlp = cfg.mlp_ratio * hid
-
-        def normal(rows, cols, fan):
-            return Tensor(rng.normal(0.0, fan**-0.5, (rows, cols)), requires_grad=True)
-
-        params = {
-            "in_proj.w": normal(cfg.channels, hid, cfg.channels),
-            "in_proj.b": Tensor(np.zeros(hid), requires_grad=True),
-            "time_proj.w": normal(cfg.time_width, hid, cfg.time_width),
-            "time_proj.b": Tensor(np.zeros(hid), requires_grad=True),
-            "class_embed": Tensor(
-                rng.normal(0.0, 0.5, (cfg.classes, hid)), requires_grad=True
-            ),
-            "head.w": Tensor(np.zeros((hid, cfg.channels)), requires_grad=True),
-            "head.b": Tensor(np.zeros(cfg.channels), requires_grad=True),
+        draws = {
+            "normal": lambda shape: rng.normal(0.0, shape[0] ** -0.5, shape),
+            "embed": lambda shape: rng.normal(0.0, 0.5, shape),
+            "zeros": np.zeros,
+            "ones": np.ones,
         }
-        for i, kind in enumerate(cfg.layer_kinds):
-            prefix = f"layer{i}"
-            params[f"{prefix}.norm1.gain"] = Tensor(np.ones(hid), requires_grad=True)
-            params[f"{prefix}.norm1.bias"] = Tensor(np.zeros(hid), requires_grad=True)
-            params[f"{prefix}.attn.w_query"] = normal(hid, hid, hid)
-            params[f"{prefix}.attn.w_key"] = normal(hid, hid, hid)
-            params[f"{prefix}.attn.w_value"] = normal(hid, hid, hid)
-            params[f"{prefix}.attn.w_out"] = normal(hid, hid, hid)
-            if kind == "mediator":
-                params[f"{prefix}.attn.dw"] = Tensor(np.zeros((3, 3, hid)), requires_grad=True)
-            params[f"{prefix}.norm2.gain"] = Tensor(np.ones(hid), requires_grad=True)
-            params[f"{prefix}.norm2.bias"] = Tensor(np.zeros(hid), requires_grad=True)
-            params[f"{prefix}.mlp.w1"] = normal(hid, mlp, hid)
-            params[f"{prefix}.mlp.b1"] = Tensor(np.zeros(mlp), requires_grad=True)
-            params[f"{prefix}.mlp.w2"] = normal(mlp, hid, mlp)
-            params[f"{prefix}.mlp.b2"] = Tensor(np.zeros(hid), requires_grad=True)
-        return params
-
-    def _expected_param_shapes(self):
-        cfg = self.cfg
-        hid, mlp = cfg.hidden, cfg.mlp_ratio * cfg.hidden
-        shapes = {
-            "in_proj.w": (cfg.channels, hid),
-            "in_proj.b": (hid,),
-            "time_proj.w": (cfg.time_width, hid),
-            "time_proj.b": (hid,),
-            "class_embed": (cfg.classes, hid),
-            "head.w": (hid, cfg.channels),
-            "head.b": (cfg.channels,),
+        return {
+            name: Tensor(draws[init](shape), requires_grad=True)
+            for name, shape, init in _param_table(self.cfg)
         }
-        for i, kind in enumerate(cfg.layer_kinds):
-            prefix = f"layer{i}"
-            shapes[f"{prefix}.norm1.gain"] = (hid,)
-            shapes[f"{prefix}.norm1.bias"] = (hid,)
-            shapes[f"{prefix}.attn.w_query"] = (hid, hid)
-            shapes[f"{prefix}.attn.w_key"] = (hid, hid)
-            shapes[f"{prefix}.attn.w_value"] = (hid, hid)
-            shapes[f"{prefix}.attn.w_out"] = (hid, hid)
-            if kind == "mediator":
-                shapes[f"{prefix}.attn.dw"] = (3, 3, hid)
-            shapes[f"{prefix}.norm2.gain"] = (hid,)
-            shapes[f"{prefix}.norm2.bias"] = (hid,)
-            shapes[f"{prefix}.mlp.w1"] = (hid, mlp)
-            shapes[f"{prefix}.mlp.b1"] = (mlp,)
-            shapes[f"{prefix}.mlp.w2"] = (mlp, hid)
-            shapes[f"{prefix}.mlp.b2"] = (hid,)
-        return shapes
 
     def _validate_params(self):
-        expected = self._expected_param_shapes()
+        expected = {name: shape for name, shape, _ in _param_table(self.cfg)}
         got = set(self.params)
         if got != set(expected):
             missing = sorted(set(expected) - got)
@@ -274,12 +246,8 @@ class ToyDiffusionModel:
                 )
 
     def _layer_params(self, index):
-        prefix = f"layer{index}"
         return MultiHeadParams(
-            w_query=self.params[f"{prefix}.attn.w_query"],
-            w_key=self.params[f"{prefix}.attn.w_key"],
-            w_value=self.params[f"{prefix}.attn.w_value"],
-            w_out=self.params[f"{prefix}.attn.w_out"],
+            **{w: self.params[f"layer{index}.attn.{w}"] for w in _ATTENTION_WEIGHTS}
         )
 
     def forward(self, x, t, label, mediator_count=None, counter=None, capture=False):

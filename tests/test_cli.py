@@ -109,14 +109,33 @@ def test_train_runs_are_bit_identical(tmp_path, config_path):
     assert [r[0] for r in rows] == [str(i) for i in range(5)]
 
 
-def test_resolved_config_reproduces_the_run(tmp_path, config_path):
-    out_a, out_b = tmp_path / "a", tmp_path / "b"
-    assert main(["train", "--config", config_path, "--out", str(out_a)]) == 0
-    resolved = out_a / "config.resolved.json"
-    assert resolved.exists()
-    assert main(["train", "--config", str(resolved), "--out", str(out_b)]) == 0
-    assert (out_a / "loss.csv").read_bytes() == (out_b / "loss.csv").read_bytes()
-    assert (out_a / "model.ckpt").read_bytes() == (out_b / "model.ckpt").read_bytes()
+# Outputs that hold wall times; reruns reproduce every other file.
+TIMED_OUTPUTS = {"timing.json", "bench.csv", "bench.json"}
+
+
+def test_resolved_config_reproduces_the_run(tmp_path, monkeypatch, micro_ckpt):
+    # Both runs of each command read ./config.json and write ./run from
+    # sibling directories, so the invocation block matches too and
+    # config.resolved.json must repeat byte for byte. The first run's flag
+    # lands in the resolved config; the rerun passes only the checkpoint.
+    for command in ["train", "sample", "redundancy", "sweep", "flops", "bench"]:
+        ckpt = ["--ckpt", micro_ckpt] if command in ("sample", "redundancy", "sweep") else []
+        run = [command, "--config", "config.json", "--out", "run"] + ckpt
+        first, rerun = tmp_path / command / "a", tmp_path / command / "b"
+        first.mkdir(parents=True)
+        rerun.mkdir()
+        (first / "config.json").write_text(json.dumps(MICRO_CONFIG))
+        monkeypatch.chdir(first)
+        assert main(run + ["--seed", "3"]) == 0, command
+        shutil.copy(first / "run" / "config.resolved.json", rerun / "config.json")
+        monkeypatch.chdir(rerun)
+        assert main(run) == 0, command
+        first, rerun = first / "run", rerun / "run"
+        assert json.loads((first / "config.resolved.json").read_text())["seed"] == 3, command
+        names = sorted(path.name for path in first.iterdir())
+        assert sorted(path.name for path in rerun.iterdir()) == names, command
+        for name in set(names) - TIMED_OUTPUTS:
+            assert (first / name).read_bytes() == (rerun / name).read_bytes(), (command, name)
 
 
 # ---------------------------------------------------------------------------
@@ -571,6 +590,35 @@ def test_bench_records_its_repeats(tmp_path, config_path):
 
 # ---------------------------------------------------------------------------
 # failure modes
+
+
+@pytest.mark.parametrize(
+    "command, config, flags, message",
+    [
+        ("sweep", {"sweep": {"rho_values": ["1.0", "0.5"]}}, [],
+         "config key sweep.rho_values[0] must be a number, got '1.0'"),
+        ("sweep", {"sweep": {"two_level": "false"}}, [],
+         "config key sweep.two_level must be a boolean, got 'false'"),
+        ("train", {"model": {"grid": "88"}}, ["--steps", "0"],
+         "config key model.grid must be a list, got '88'"),
+        ("train", {"model": {"grid": [8, 8, 3]}}, ["--steps", "0"],
+         "model grid must be a list of two extents, got [8, 8, 3]"),
+        ("train", {"model": {"hidden": 16.7}}, ["--steps", "0"],
+         "config key model.hidden must be an integer, got 16.7"),
+        ("redundancy", {"redundancy": {"pair_cap": 2.5}}, ["--steps", "1", "--samples", "1"],
+         "redundancy.pair_cap must be null or a positive integer, got 2.5"),
+        ("train", {}, ["--seed", "-1", "--steps", "0"], "seed must be non-negative, got -1"),
+    ],
+    ids=["string-rhos", "string-two-level", "string-grid", "three-extent-grid",
+         "fractional-hidden", "fractional-pair-cap", "negative-seed"],
+)
+def test_ill_typed_config_exits_2_before_writing(tmp_path, capsys, command, config, flags, message):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "run"
+    assert main([command, "--config", str(path), "--out", str(out)] + flags) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 def test_missing_config_file_exits_2(tmp_path, capsys):

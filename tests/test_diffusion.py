@@ -120,8 +120,47 @@ def test_config_json_roundtrip():
     payload = MICRO.to_json_dict()
     assert ToyModelConfig.from_json_dict(payload) == MICRO
     assert payload["grid"] == [4, 4]
-    with pytest.raises(ConfigError):
-        ToyModelConfig.from_json_dict({"grid": "wide"})
+    assert ToyModelConfig.from_json_dict({}) == ToyModelConfig()
+    for grid in ("wide", [8, 8, 3]):
+        with pytest.raises(ConfigError):
+            ToyModelConfig.from_json_dict({"grid": grid})
+
+
+def test_init_draws_parameters_in_the_documented_order():
+    # Checkpoint bytes follow from this order: every normal draw comes from
+    # one "init" stream, lift first, then each layer's four attention
+    # weights and two MLP weights; the rest is constant.
+    cfg = ToyModelConfig(layer_kinds=("mediator", "vanilla", "mediator"))
+    hid, mlp = cfg.hidden, cfg.mlp_ratio * cfg.hidden
+    rng = stream_rng(5, "init")
+    want = {
+        "in_proj.w": rng.normal(0.0, cfg.channels**-0.5, (cfg.channels, hid)),
+        "in_proj.b": np.zeros(hid),
+        "time_proj.w": rng.normal(0.0, cfg.time_width**-0.5, (cfg.time_width, hid)),
+        "time_proj.b": np.zeros(hid),
+        "class_embed": rng.normal(0.0, 0.5, (cfg.classes, hid)),
+        "head.w": np.zeros((hid, cfg.channels)),
+        "head.b": np.zeros(cfg.channels),
+    }
+    for i, kind in enumerate(cfg.layer_kinds):
+        want[f"layer{i}.norm1.gain"] = np.ones(hid)
+        want[f"layer{i}.norm1.bias"] = np.zeros(hid)
+        for w in ("w_query", "w_key", "w_value", "w_out"):
+            want[f"layer{i}.attn.{w}"] = rng.normal(0.0, hid**-0.5, (hid, hid))
+        if kind == "mediator":
+            want[f"layer{i}.attn.dw"] = np.zeros((3, 3, hid))
+        want[f"layer{i}.norm2.gain"] = np.ones(hid)
+        want[f"layer{i}.norm2.bias"] = np.zeros(hid)
+        want[f"layer{i}.mlp.w1"] = rng.normal(0.0, hid**-0.5, (hid, mlp))
+        want[f"layer{i}.mlp.b1"] = np.zeros(mlp)
+        want[f"layer{i}.mlp.w2"] = rng.normal(0.0, mlp**-0.5, (mlp, hid))
+        want[f"layer{i}.mlp.b2"] = np.zeros(hid)
+    model = ToyDiffusionModel(cfg, seed=5)
+    assert list(model.params) == list(want)
+    assert {name: p.data.tolist() for name, p in model.params.items()} == {
+        name: array.tolist() for name, array in want.items()
+    }
+    assert all(p.requires_grad for p in model.params.values())
 
 
 def test_token_image_roundtrip():
