@@ -57,7 +57,6 @@ from .redundancy import (
     js_divergence,
     kl_divergence,
     redundancy_score,
-    trace_over_steps,
 )
 from .scheduler import (
     LatentTrace,

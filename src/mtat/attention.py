@@ -139,59 +139,52 @@ def _check_rows_stochastic(array, what):
 
 
 def _map_stack(arrays, what):
-    """Equal-shape per-head matrices as one float64 (heads, rows, cols)
-    stack: a float64 array as it is, a list stacked into a new array."""
-    if len(arrays) == 0:
+    """Per-head row-stochastic matrices as one read-only float64 (heads,
+    rows, cols) stack: a float64 array is viewed, not copied, and a list
+    is stacked into a new array."""
+    if arrays is None or len(arrays) == 0:
         raise UsageError(f"{what} need at least one per-head array")
     try:
-        stack = np.asarray(arrays, dtype=np.float64)
+        stack = np.asarray(arrays, dtype=np.float64).view()
     except ValueError as exc:
         raise DimensionError(f"{what} differ in shape from head to head") from exc
     if stack.ndim != 3:
         raise DimensionError(f"{what} must be matrices, got shape {stack.shape[1:]}")
+    _check_rows_stochastic(stack, what)
+    stack.flags.writeable = False
     return stack
 
 
 class AttentionMaps:
-    """Per-head attention weights captured from one layer.
+    """Attention weights captured from one layer, one read-only float64
+    (heads, rows, cols) stack per stage.
 
-    ``kind`` is "full" (one N x N map per head) or "mediated" (an N x n
-    query-to-mediator map and an n x N mediator-to-key map per head).
-    Each stage takes a list of equal-shape per-head arrays or one
-    (heads, rows, cols) array and is kept as a list of per-head views
-    of one stack. A float64 array is not copied, so the maps captured
-    from a forward are read-only views of the forward's own arrays.
-    Construction checks row-stochasticity.
+    ``kind`` is "full" (``heads``, N x N per head) or "mediated"
+    (``query_to_mediator``, N x n per head, and ``mediator_to_key``,
+    n x N per head). Each stage takes a list of equal-shape per-head
+    arrays or one (heads, rows, cols) array. A float64 array is not
+    copied, so the maps captured from a forward share the forward's own
+    arrays. Construction checks row-stochasticity.
     """
 
     __slots__ = ("kind", "heads", "query_to_mediator", "mediator_to_key")
 
     def __init__(self, kind, heads=None, query_to_mediator=None, mediator_to_key=None):
         self.kind = kind
+        self.heads = self.query_to_mediator = self.mediator_to_key = None
         if kind == "full":
-            stack = _map_stack(heads if heads is not None else [], "full maps")
-            if stack.shape[1] != stack.shape[2]:
-                raise DimensionError(f"full maps must be square, got {stack.shape[1:]}")
-            _check_rows_stochastic(stack, "full attention maps")
-            self.heads = list(stack)
-            self.query_to_mediator = None
-            self.mediator_to_key = None
+            self.heads = _map_stack(heads, "full attention maps")
+            if self.heads.shape[1] != self.heads.shape[2]:
+                raise DimensionError(f"full maps must be square, got {self.heads.shape[1:]}")
         elif kind == "mediated":
-            qt = _map_stack(query_to_mediator if query_to_mediator is not None else [],
-                            "query-to-mediator maps")
-            tk = _map_stack(mediator_to_key if mediator_to_key is not None else [],
-                            "mediator-to-key maps")
+            qt = self.query_to_mediator = _map_stack(query_to_mediator, "query-to-mediator maps")
+            tk = self.mediator_to_key = _map_stack(mediator_to_key, "mediator-to-key maps")
             if len(qt) != len(tk):
                 raise DimensionError("mediated stages disagree on head count")
             if qt.shape[2] != tk.shape[1]:
                 raise DimensionError(
                     f"mediated stages do not chain: {qt.shape[1:]} then {tk.shape[1:]}"
                 )
-            _check_rows_stochastic(qt, "query-to-mediator maps")
-            _check_rows_stochastic(tk, "mediator-to-key maps")
-            self.heads = None
-            self.query_to_mediator = list(qt)
-            self.mediator_to_key = list(tk)
         else:
             raise UsageError(f"unknown attention map kind {kind!r}")
 
@@ -209,13 +202,14 @@ class AttentionMaps:
 
 
 def composed_attention_map(maps):
-    """Collapse mediated maps to per-head N x N maps by chaining the two
-    stages. Full maps have nothing to compose and are rejected."""
+    """Collapse mediated maps to one (heads, N, N) stack by chaining the
+    two stages in one batched product. Full maps have nothing to compose
+    and are rejected."""
     if not isinstance(maps, AttentionMaps):
         raise UsageError("composed_attention_map expects an AttentionMaps instance")
     if maps.kind != "mediated":
         raise UsageError("only mediated maps can be composed; full maps already are")
-    return [qt @ tk for qt, tk in zip(maps.query_to_mediator, maps.mediator_to_key)]
+    return maps.query_to_mediator @ maps.mediator_to_key
 
 
 # ---------------------------------------------------------------------------
@@ -269,8 +263,8 @@ def multi_head_attention(z, params, cfg, counter=None):
     """Full multi-head self-attention over (..., N, C) tokens, all heads
     in one pass.
 
-    Returns the projected output and the captured full maps, one per
-    head of every sample in order.
+    Returns the projected output and the captured full maps, one stack
+    of every sample's heads in order.
     """
     _check_tokens(z, cfg, "multi_head_attention")
     q, k, v = (_heads_first(x, cfg.heads) for x in project_qkv(z, params, counter))
@@ -327,7 +321,7 @@ def mediator_attention(z, params, cfg, mcfg, dw_kernels=None, counter=None):
     value tokens on the spatial grid and summed into the head outputs
     before the final projection; pass None to drop the branch entirely.
     Returns the projected output and the captured mediated maps, one
-    pair per head of every sample in order.
+    stack per stage of every sample's heads in order.
     """
     _check_tokens(z, cfg, "mediator_attention")
     q, k, v = project_qkv(z, params, counter)

@@ -36,6 +36,7 @@ from .diffusion import (
     capture_redundancy,
     euler_sample,
     fid_proxy,
+    grid_extents,
     synth_dataset,
     train_step,
 )
@@ -47,7 +48,13 @@ from .errors import (
     NumericError,
     UsageError,
 )
-from .scheduler import MediatorSchedule, pareto_envelope, sweep_thresholds, threshold_grid
+from .scheduler import (
+    MediatorSchedule,
+    default_rho_values,
+    pareto_envelope,
+    sweep_thresholds,
+    threshold_grid,
+)
 from .serialize import load_checkpoint, save_checkpoint, save_tensor
 from .tensor import MacCounter, Tensor, no_grad
 from .util import child_seed, stream_rng, write_text_atomic
@@ -67,7 +74,7 @@ def default_config():
         "sampler": {"steps": 8, "samples": 4},
         "redundancy": {"steps": 4, "samples": 2, "pair_cap": None},
         "sweep": {
-            "rho_values": [round(1.0 - 0.1 * i, 1) for i in range(11)],
+            "rho_values": list(default_rho_values()),
             "counts": [4, 16, 64],
             "metrics": ["l1"],
             "two_level": True,
@@ -93,6 +100,18 @@ def default_config():
         },
         "schedule": None,
     }
+
+
+# The smallest value of each count key. `mtat sample` with 0 samples
+# writes an empty flops.json, and 0 training steps the initial checkpoint.
+_COUNT_FLOORS = {
+    "data": {"size": 1},
+    "train": {"steps": 0, "batch": 1},
+    "sampler": {"steps": 1, "samples": 0},
+    "redundancy": {"steps": 1, "samples": 1},
+    "sweep": {"samples": 1, "steps": 1, "reference_size": 1},
+    "flops": {"layers": 1},
+}
 
 
 _JSON_TYPES = (
@@ -174,12 +193,18 @@ def _resolve(args):
         config["bench"]["sizes"] = _int_list(args.sizes, "--sizes")
     if config["seed"] < 0:
         raise ConfigError(f"seed must be non-negative, got {config['seed']}")
+    for section, floors in _COUNT_FLOORS.items():
+        for key, floor in floors.items():
+            value = config[section][key]
+            if value < floor:
+                raise ConfigError(f"{section}.{key} must be at least {floor}, got {value}")
     pair_cap = config["redundancy"]["pair_cap"]
     if pair_cap is not None and (_json_type(pair_cap) != "an integer" or pair_cap < 1):
         raise ConfigError(
             f"redundancy.pair_cap must be null or a positive integer, got {pair_cap!r}"
         )
     ToyModelConfig.from_json_dict(config["model"])
+    grid_extents(config["flops"]["grid"], "flops grid")
     _schedule_from_config(config)
     return config
 
@@ -317,14 +342,10 @@ def cmd_sweep(args, config, out):
         metrics=sweep_cfg["metrics"],
         two_level=sweep_cfg["two_level"],
     )
-    # A count with no mediator grid, or a sample or step count below one,
-    # fails every point; report it once.
+    # A count with no mediator grid fails every point; report it once.
     for count in sweep_cfg["counts"]:
         MediatorConfig.from_count(count, model.cfg.attention_config)
     steps, per_point_samples = sweep_cfg["steps"], sweep_cfg["samples"]
-    for key, value in (("samples", per_point_samples), ("steps", steps)):
-        if value < 1:
-            raise ConfigError(f"sweep.{key} must be at least 1, got {value}")
     ref_data = synth_dataset(
         child_seed(seed, "sweep", "reference"),
         model.cfg.classes, model.cfg.grid_h, model.cfg.grid_w,
@@ -431,8 +452,7 @@ _PUBLISHED_REFERENCE = {
 
 def cmd_flops(args, config, out):
     stack = config["flops"]
-    grid = stack["grid"]
-    attn_cfg = AttentionConfig(stack["n_tokens"], stack["channels"], stack["heads"], grid[0], grid[1])
+    attn_cfg = AttentionConfig(stack["n_tokens"], stack["channels"], stack["heads"], *stack["grid"])
     layers, counts = stack["layers"], stack["counts"]
 
     baseline = attention_flops(attn_cfg, layers)

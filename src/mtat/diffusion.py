@@ -27,7 +27,7 @@ from .attention import (
     multi_head_attention,
 )
 from .errors import ConfigError, DimensionError, DomainError, NumericError, UsageError
-from .redundancy import trace_over_steps
+from .redundancy import RedundancyTrace, redundancy_score
 from .scheduler import run_scheduled_sampling
 from .tensor import (
     Tensor,
@@ -78,6 +78,13 @@ def time_features(t, width):
     return np.concatenate([np.cos(angles), np.sin(angles)], axis=-1)
 
 
+def grid_extents(grid, what):
+    """A config grid as (rows, cols): it must be a list of two extents."""
+    if not isinstance(grid, list) or len(grid) != 2:
+        raise ConfigError(f"{what} must be a list of two extents, got {grid!r}")
+    return tuple(grid)
+
+
 @dataclass(frozen=True)
 class ToyModelConfig:
     """Shape of the toy velocity model."""
@@ -125,9 +132,7 @@ class ToyModelConfig:
         payload = dict(payload)
         grid = payload.pop("grid", None)
         if grid is not None:
-            if not isinstance(grid, list) or len(grid) != 2:
-                raise ConfigError(f"model grid must be a list of two extents, got {grid!r}")
-            payload["grid_h"], payload["grid_w"] = grid
+            payload["grid_h"], payload["grid_w"] = grid_extents(grid, "model grid")
         try:
             return cls(**payload)
         except TypeError as exc:
@@ -258,7 +263,7 @@ class ToyDiffusionModel:
         ``t`` and ``label`` hold one entry per sample and ``x`` is the
         (B, N, C) stack, run through every op at once; the velocity is
         (B, N, C). Returns (velocity tensor, captured per-layer maps or
-        None); a batch's maps list every sample's heads in order. Only
+        None); a batch's map stacks hold every sample's heads in order. Only
         attention work is metered by ``counter``; the lift, conditioning,
         and MLPs are off the books by design.
         """
@@ -513,32 +518,41 @@ def euler_sample(model, label, steps, seed, schedule=None, sample_index=0, cache
     return SampleResult(image=image_from_tokens(final, cfg), trace=trace, flops=flops)
 
 
-def capture_redundancy(model, labels, steps, seed, schedule=None, pair_cap=None, model_id=""):
-    """Sample once per label while recording attention maps, then score
-    them. Mediated layers are composed to full maps before scoring.
-    Sample ``s`` starts from the noise of ``euler_sample`` with
-    ``sample_index=s``.
+def capture_redundancy(model, labels, steps, seed, schedule=None, pair_cap=None):
+    """Sample once per label while recording attention maps, and score
+    each step's layers as the sample's run ends, so only one sample's
+    maps are held at a time. Mediated layers are composed to full maps
+    before scoring. Sample ``s`` starts from the noise of
+    ``euler_sample`` with ``sample_index=s``.
 
-    Returns a RedundancyTrace with scores averaged over the samples; its
-    ``timing`` adds the capture wall time to the scoring time.
+    Returns a RedundancyTrace with scores averaged over the samples. Its
+    ``timing`` holds the scoring wall time, per (layer, step) cell and
+    in total, and as ``capture_s`` the rest of the run: sampling with
+    capture and composing the mediated maps.
     """
+    if len(labels) < 1:
+        raise UsageError("capture_redundancy needs at least one label")
     start = time.perf_counter()
-    captured = []
+    scores = np.zeros((len(model.cfg.layer_kinds), steps))
+    seconds = np.zeros_like(scores)
     for s, label in enumerate(labels):
         bundle = ModelBundle(model, label, capture=True)
         run_scheduled_sampling(bundle, _initial_noise(model.cfg, seed, s), steps, schedule)
-        sample_steps = []
-        for step_maps in bundle.step_maps:
-            layers = [
-                composed_attention_map(maps) if maps.kind == "mediated" else maps
-                for maps in step_maps
-            ]
-            sample_steps.append(layers)
-        captured.append(sample_steps)
-    capture_s = time.perf_counter() - start
-    trace = trace_over_steps(captured, model_id=model_id, pair_cap=pair_cap, seed=seed)
-    trace.timing["capture_s"] = capture_s
-    return trace
+        for t, step_maps in enumerate(bundle.step_maps):
+            for layer, maps in enumerate(step_maps):
+                if maps.kind == "mediated":
+                    maps = composed_attention_map(maps)
+                scored = time.perf_counter()
+                scores[layer, t] += redundancy_score(maps, pair_cap=pair_cap, seed=seed)
+                seconds[layer, t] += time.perf_counter() - scored
+    scores /= len(labels)
+    score_s = float(seconds.sum())
+    timing = {
+        "capture_s": time.perf_counter() - start - score_s,
+        "score_s": score_s,
+        "score_ms": (seconds * 1e3).tolist(),
+    }
+    return RedundancyTrace(scores=scores, samples=len(labels), heads=model.cfg.heads, timing=timing)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,6 @@ rows agree exactly and ln 2 means they never overlap.
 """
 
 import math
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -177,9 +176,10 @@ def _head_maps(maps):
 def redundancy_score(maps, pair_cap=None, seed=0):
     """Mean pairwise row divergence of a layer's attention maps.
 
-    ``maps`` is a full AttentionMaps capture or a list of per-head
-    row-stochastic matrices; a list map with a non-finite or negative
-    entry, or a row sum off 1 by more than 1e-6, is a NumericError.
+    ``maps`` is a full AttentionMaps capture, or a list or (heads, rows,
+    cols) stack of per-head row-stochastic matrices; such a map with a
+    non-finite or negative entry, or a row sum off 1 by more than 1e-6,
+    is a NumericError.
     Averages the Jensen-Shannon divergence over all heads and all
     unordered row pairs; with ``pair_cap`` set below the pair count, a
     seeded uniform sample of pairs estimates the same average (a cap at
@@ -238,10 +238,9 @@ class RedundancyTrace:
     scores: np.ndarray
     samples: int
     heads: int
-    model_id: str = ""
     # Wall-clock seconds and milliseconds, never written to the CSV:
-    # "score_s" and "score_ms" (per [layer][step], summed over samples)
-    # from trace_over_steps, "capture_s" from capture_redundancy.
+    # "capture_s", "score_s" and "score_ms" (per [layer][step], summed
+    # over samples), from capture_redundancy.
     timing: dict = field(default_factory=dict)
 
     def to_csv(self):
@@ -252,39 +251,3 @@ class RedundancyTrace:
                 value = repr(float(self.scores[layer, step]))
                 lines.append(f"{layer},{step},{value},{self.samples},{self.heads}")
         return "\n".join(lines) + "\n"
-
-
-def trace_over_steps(captured, model_id="", pair_cap=None, seed=0):
-    """Score a capture of shape [sample][step][layer] -> maps.
-
-    Each entry is a full AttentionMaps or a list of per-head matrices
-    (the composed form of a mediated layer). All samples must agree on
-    the step and layer counts; scores are averaged over samples. The
-    trace's ``timing`` holds the scoring wall time.
-    """
-    if not captured or not captured[0] or not captured[0][0]:
-        raise UsageError("trace_over_steps needs at least one sample, step, and layer")
-    steps = len(captured[0])
-    layers = len(captured[0][0])
-    for s, sample in enumerate(captured):
-        if len(sample) != steps:
-            raise UsageError(f"sample {s} has {len(sample)} steps, expected {steps}")
-        for t, step in enumerate(sample):
-            if len(step) != layers:
-                raise UsageError(f"sample {s} step {t} has {len(step)} layers, expected {layers}")
-
-    first = captured[0][0][0]
-    heads = first.head_count if isinstance(first, AttentionMaps) else len(first)
-    scores = np.zeros((layers, steps))
-    seconds = np.zeros((layers, steps))
-    for sample in captured:
-        for t, step in enumerate(sample):
-            for layer, maps in enumerate(step):
-                start = time.perf_counter()
-                scores[layer, t] += redundancy_score(maps, pair_cap=pair_cap, seed=seed)
-                seconds[layer, t] += time.perf_counter() - start
-    scores /= len(captured)
-    timing = {"score_s": float(seconds.sum()), "score_ms": (seconds * 1e3).tolist()}
-    return RedundancyTrace(
-        scores=scores, samples=len(captured), heads=heads, model_id=model_id, timing=timing
-    )

@@ -154,6 +154,42 @@ def test_captured_maps_are_read_only():
             head[0, 0] = 0.5
 
 
+def test_captured_stages_are_read_only_stacks_of_the_forward_arrays(monkeypatch):
+    import mtat.attention
+
+    attend, maps_from_attend = mtat.attention.attend, []
+
+    def recording(*args, **kwargs):
+        out, attn = attend(*args, **kwargs)
+        maps_from_attend.append(attn.data)
+        return out, attn
+
+    monkeypatch.setattr(mtat.attention, "attend", recording)
+    cfg = AttentionConfig.square(16, 8, 2)
+    rng = np.random.default_rng(63)
+    z, params = random_setup(rng, cfg)
+    batch = Tensor(rng.standard_normal((3, cfg.n_tokens, cfg.channels)))
+    _, full = multi_head_attention(batch, params, cfg)
+    _, mediated = mediator_attention(z, params, cfg, MediatorConfig(2, 2))
+    vanilla_map, mediator_to_key_map, query_to_mediator_map = maps_from_attend
+    stages = [
+        (full.heads, vanilla_map, (6, 16, 16)),
+        (mediated.query_to_mediator, query_to_mediator_map, (2, 16, 4)),
+        (mediated.mediator_to_key, mediator_to_key_map, (2, 4, 16)),
+    ]
+    for stage, forward_array, shape in stages:
+        assert isinstance(stage, np.ndarray)
+        assert stage.shape == shape and stage.dtype == np.float64
+        assert not stage.flags.writeable
+        assert np.shares_memory(stage, forward_array)
+
+    # A caller's writable stack is viewed read-only and stays writable itself.
+    stack = np.full((2, 3, 3), 1.0 / 3.0)
+    maps = AttentionMaps.full(stack)
+    assert not maps.heads.flags.writeable and stack.flags.writeable
+    assert np.shares_memory(maps.heads, stack)
+
+
 # ---------------------------------------------------------------------------
 # projections and single heads
 
@@ -428,6 +464,21 @@ def test_composed_map_rows_stochastic_and_usage_error():
     _, full = multi_head_attention(z, params, cfg)
     with pytest.raises(UsageError):
         composed_attention_map(full)
+
+
+def test_composed_map_is_the_per_head_product_bit_for_bit():
+    cfg = AttentionConfig.square(64, 16, 4)
+    rng = np.random.default_rng(64)
+    z, params = random_setup(rng, cfg)
+    batch = Tensor(rng.standard_normal((2, cfg.n_tokens, cfg.channels)))
+    for tokens in (z, batch):
+        for count in (1, 4, 16, 64):
+            _, maps = mediator_attention(tokens, params, cfg, MediatorConfig.from_count(count, cfg))
+            qt, tk = maps.query_to_mediator, maps.mediator_to_key
+            reference = np.stack([qt[h] @ tk[h] for h in range(len(qt))])
+            composed = composed_attention_map(maps)
+            assert composed.shape == (maps.head_count, 64, 64)
+            assert np.array_equal(composed, reference)
 
 
 # ---------------------------------------------------------------------------

@@ -621,6 +621,40 @@ def test_ill_typed_config_exits_2_before_writing(tmp_path, capsys, command, conf
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command, config, flags, message",
+    [
+        ("train", {}, ["--steps", "-1"], "train.steps must be at least 0, got -1"),
+        ("sample", {}, ["--samples", "-2"], "sampler.samples must be at least 0, got -2"),
+        ("redundancy", {}, ["--samples", "0"], "redundancy.samples must be at least 1, got 0"),
+        ("train", {"train": {"batch": 0}}, [], "train.batch must be at least 1, got 0"),
+        ("sweep", {"sweep": {"reference_size": 0}}, [],
+         "sweep.reference_size must be at least 1, got 0"),
+        ("flops", {"flops": {"layers": -1}}, [], "flops.layers must be at least 1, got -1"),
+        ("flops", {"flops": {"grid": [16]}}, [],
+         "flops grid must be a list of two extents, got [16]"),
+        ("flops", {"flops": {"grid": [16, 16, 3]}}, [],
+         "flops grid must be a list of two extents, got [16, 16, 3]"),
+    ],
+    ids=["negative-train-steps", "negative-samples", "zero-redundancy-samples", "zero-batch",
+         "zero-reference-size", "negative-flops-layers", "one-extent-flops-grid",
+         "three-extent-flops-grid"],
+)
+def test_out_of_range_config_exits_2_before_writing(tmp_path, capsys, command, config, flags, message):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "run"
+    assert main([command, "--config", str(path), "--out", str(out)] + flags) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_sample_accepts_zero_samples(tmp_path, config_path):
+    out = tmp_path / "run"
+    assert main(["sample", "--config", config_path, "--samples", "0", "--out", str(out)]) == 0
+    assert json.loads((out / "flops.json").read_text())["mean_gflops"] == 0.0
+
+
 def test_missing_config_file_exits_2(tmp_path, capsys):
     assert main(["train", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path / "o")]) == 2
     assert "error:" in capsys.readouterr().err

@@ -8,16 +8,17 @@ import numpy as np
 import pytest
 
 from mtat.attention import AttentionMaps, composed_attention_map
-from mtat.diffusion import ToyDiffusionModel, ToyModelConfig
+from mtat.diffusion import ModelBundle, ToyDiffusionModel, ToyModelConfig, capture_redundancy
 from mtat.errors import DimensionError, DomainError, NumericError, UsageError
 from mtat.redundancy import (
     Distribution,
+    RedundancyTrace,
     js_divergence,
     kl_divergence,
     redundancy_score,
-    trace_over_steps,
 )
-from mtat.tensor import no_grad
+from mtat.scheduler import run_scheduled_sampling
+from mtat.tensor import Tensor, no_grad
 from mtat.util import stream_rng
 
 LN2 = math.log(2.0)
@@ -441,61 +442,75 @@ def test_subsample_bad_cap():
 # traces
 
 
-# Capture layout is [sample][step][layer] -> list of per-head matrices.
+# capture_redundancy scores each [layer, step] cell, averaged over samples.
+
+TRACE_CFG = ToyModelConfig(grid_h=4, grid_w=4, hidden=8, heads=2)
+
+
+def trace_model():
+    """Fresh weights with a non-zero output head, so the latent moves."""
+    model = ToyDiffusionModel(TRACE_CFG, seed=2)
+    rng = np.random.default_rng(91)
+    model.params["head.w"] = Tensor(0.3 * rng.standard_normal(model.params["head.w"].shape))
+    return model
+
+
+def direct_scores(model, label, sample_index, steps, seed):
+    """(layers, steps) scores from direct redundancy_score calls on a
+    capture of the sample capture_redundancy draws as ``sample_index``."""
+    cfg = model.cfg
+    noise = stream_rng(seed, "sampling", sample_index).standard_normal((cfg.n_tokens, cfg.channels))
+    bundle = ModelBundle(model, label, capture=True)
+    run_scheduled_sampling(bundle, noise, steps)
+    return np.array([
+        [redundancy_score(composed_attention_map(m) if m.kind == "mediated" else m) for m in layers]
+        for layers in bundle.step_maps
+    ]).T
 
 
 def test_trace_single_sample_passthrough():
-    a = np.array([[1.0, 0.0], [0.0, 1.0]])
-    b = np.array([[0.5, 0.5], [0.5, 0.5]])
-    trace = trace_over_steps([[[[a]], [[b]]]])
-    assert trace.scores.shape == (1, 2)
-    assert abs(trace.scores[0, 0] - redundancy_score([a])) <= 1e-15
-    assert abs(trace.scores[0, 1] - redundancy_score([b])) <= 1e-15
-    assert trace.samples == 1 and trace.heads == 1
+    model = trace_model()
+    trace = capture_redundancy(model, [1], steps=3, seed=5)
+    assert trace.scores.shape == (2, 3)
+    assert np.array_equal(trace.scores, direct_scores(model, 1, 0, 3, seed=5))
+    assert trace.samples == 1 and trace.heads == 2
 
 
 def test_trace_averages_samples():
-    a = np.array([[1.0, 0.0], [0.0, 1.0]])
-    b = np.array([[0.5, 0.5], [0.5, 0.5]])
-    trace = trace_over_steps([[[[a]]], [[[b]]]])
-    want = 0.5 * (redundancy_score([a]) + redundancy_score([b]))
-    assert abs(trace.scores[0, 0] - want) <= 1e-15
+    model = trace_model()
+    trace = capture_redundancy(model, [0, 1], steps=2, seed=5)
+    a, b = (direct_scores(model, label, s, 2, seed=5) for s, label in enumerate([0, 1]))
+    assert not np.array_equal(a, b)
+    assert np.array_equal(trace.scores, (a + b) / 2)
     assert trace.samples == 2
+
+
+def test_trace_needs_a_sample():
+    with pytest.raises(UsageError):
+        capture_redundancy(trace_model(), [], steps=2, seed=5)
 
 
 def test_trace_monotone_fixture():
     # Rows drift from identical to one-hot-distinct; the score must climb
     # from zero toward ln 2.
     steps = 5
-    captured = [[]]
+    base = np.full((2, 2), 0.5)
+    hot = np.array([[1.0, 0.0], [0.0, 1.0]])
+    values = []
     for step in range(steps):
         alpha = step / (steps - 1)
-        base = np.full((2, 2), 0.5)
-        hot = np.array([[1.0, 0.0], [0.0, 1.0]])
-        captured[0].append([[(1 - alpha) * base + alpha * hot]])
-    trace = trace_over_steps(captured)
-    values = trace.scores[0]
+        values.append(redundancy_score([(1 - alpha) * base + alpha * hot]))
     assert values[0] <= 1e-15
     assert abs(values[-1] - LN2) <= 1e-12
     assert np.all(np.diff(values) > 0)
 
 
-def test_trace_shape_validation():
-    a = [np.array([[1.0, 0.0], [0.0, 1.0]])]
-    with pytest.raises(UsageError):
-        trace_over_steps([])
-    with pytest.raises(UsageError):
-        trace_over_steps([[[a], [a]], [[a]]])  # second sample lost a step
-    with pytest.raises(UsageError):
-        trace_over_steps([[[a, a]], [[a]]])  # second sample lost a layer
-
-
 def test_trace_csv_format():
-    a = np.array([[1.0, 0.0], [0.0, 1.0]])
-    trace = trace_over_steps([[[[a]], [[a]]]], model_id="demo")
+    trace = RedundancyTrace(scores=np.array([[LN2, 0.5]]), samples=1, heads=1)
     lines = trace.to_csv().strip().split("\n")
     assert lines[0] == "layer,step,score,samples,heads"
     assert len(lines) == 3
     layer, step, score, samples, heads = lines[1].split(",")
     assert (layer, step, samples, heads) == ("0", "0", "1", "1")
-    assert abs(float(score) - LN2) <= 1e-12
+    assert float(score) == LN2
+    assert lines[2] == "0,1,0.5,1,1"
