@@ -27,7 +27,6 @@ from .tensor import (
     depthwise_conv3x3,
     matmul,
     reshape,
-    transpose,
 )
 
 LABEL_QKV = "qkv_proj"
@@ -231,32 +230,15 @@ def project_qkv(z, params, counter=None):
     return q, k, v
 
 
-def _head_axes(rank):
-    # Swaps axes rank and rank + 1: (..., N, H, d) <-> (..., H, N, d).
-    return tuple(range(rank)) + (rank + 1, rank, rank + 2)
+def vanilla_attention_head(q, k, v, counter=None, heads=1):
+    """Attention softmax(q k^T / sqrt(d)) v for ``heads`` heads side by
+    side in the last axis, over any leading axes of samples.
 
-
-def _heads_first(x, heads):
-    """(..., N, C) tokens to (..., H, N, C/H): heads on a leading axis."""
-    *lead, tokens, channels = x.shape
-    split = reshape(x, (*lead, tokens, heads, channels // heads))
-    return transpose(split, _head_axes(len(lead)))
-
-
-def _merge_heads(x):
-    """(..., H, N, d) head outputs back to (..., N, H*d) tokens."""
-    *lead, heads, tokens, dim = x.shape
-    return reshape(transpose(x, _head_axes(len(lead))), (*lead, tokens, heads * dim))
-
-
-def vanilla_attention_head(q, k, v, counter=None):
-    """Attention softmax(q k^T / sqrt(d)) v for one head, or for a stack
-    of heads (and samples) on the leading axes.
-
-    Returns the head output and the attention map, a record-less tensor
-    over a read-only array.
+    Returns the heads' outputs, side by side again, and the attention
+    map, a record-less tensor over a read-only array.
     """
-    return attend(q, k, v, 1.0 / math.sqrt(q.shape[-1]), counter, LABEL_INTERACTION)
+    inv_sqrt = 1.0 / math.sqrt(q.shape[-1] // heads)
+    return attend(q, k, v, inv_sqrt, counter, LABEL_INTERACTION, heads)
 
 
 def multi_head_attention(z, params, cfg, counter=None):
@@ -267,9 +249,8 @@ def multi_head_attention(z, params, cfg, counter=None):
     of every sample's heads in order.
     """
     _check_tokens(z, cfg, "multi_head_attention")
-    q, k, v = (_heads_first(x, cfg.heads) for x in project_qkv(z, params, counter))
-    head_out, attn = vanilla_attention_head(q, k, v, counter)
-    out = matmul(_merge_heads(head_out), params.w_out, counter, LABEL_OUT)
+    head_out, attn = vanilla_attention_head(*project_qkv(z, params, counter), counter, cfg.heads)
+    out = matmul(head_out, params.w_out, counter, LABEL_OUT)
     n = cfg.n_tokens
     return out, AttentionMaps.full(attn.data.reshape(-1, n, n))
 
@@ -294,22 +275,22 @@ def make_mediators(q, cfg, mcfg, counter=None):
     return reshape(pooled, (*lead, mcfg.count, cfg.channels))
 
 
-def mediator_attention_head(q, k, v, mediators, counter=None):
-    """Mediated attention for one head, or for a stack of heads (and
-    samples) on the leading axes.
+def mediator_attention_head(q, k, v, mediators, counter=None, heads=1):
+    """Mediated attention for ``heads`` heads side by side in the last
+    axis, over any leading axes of samples.
 
     Stage one compresses the values: the mediators attend over the keys.
     Stage two answers the queries against that compressed table. Each
-    stage is one ``attend`` op. Returns the head output plus both stage
-    maps, record-less tensors over read-only arrays.
+    stage is one ``attend`` op. Returns the heads' outputs plus both
+    stage maps, record-less tensors over read-only arrays.
     """
     if mediators.shape[:-2] != q.shape[:-2] or mediators.shape[-1] != q.shape[-1]:
         raise DimensionError(
             f"mediator shape {mediators.shape} does not match queries {q.shape}"
         )
-    inv_sqrt = 1.0 / math.sqrt(q.shape[-1])
-    v_med, med_to_key = attend(mediators, k, v, inv_sqrt, counter, LABEL_INTERACTION)
-    out, query_to_med = attend(q, mediators, v_med, inv_sqrt, counter, LABEL_INTERACTION)
+    inv_sqrt = 1.0 / math.sqrt(q.shape[-1] // heads)
+    v_med, med_to_key = attend(mediators, k, v, inv_sqrt, counter, LABEL_INTERACTION, heads)
+    out, query_to_med = attend(q, mediators, v_med, inv_sqrt, counter, LABEL_INTERACTION, heads)
     return out, query_to_med, med_to_key
 
 
@@ -326,10 +307,7 @@ def mediator_attention(z, params, cfg, mcfg, dw_kernels=None, counter=None):
     _check_tokens(z, cfg, "mediator_attention")
     q, k, v = project_qkv(z, params, counter)
     mediators = make_mediators(q, cfg, mcfg, counter)
-    head_out, query_to_med, med_to_key = mediator_attention_head(
-        *(_heads_first(x, cfg.heads) for x in (q, k, v, mediators)), counter
-    )
-    merged = _merge_heads(head_out)
+    merged, query_to_med, med_to_key = mediator_attention_head(q, k, v, mediators, counter, cfg.heads)
     if dw_kernels is not None:
         lead = z.shape[:-2]
         v_image = reshape(v, (*lead, cfg.grid_h, cfg.grid_w, cfg.channels))

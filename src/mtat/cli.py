@@ -203,10 +203,32 @@ def _resolve(args):
         raise ConfigError(
             f"redundancy.pair_cap must be null or a positive integer, got {pair_cap!r}"
         )
-    ToyModelConfig.from_json_dict(config["model"])
-    grid_extents(config["flops"]["grid"], "flops grid")
-    _schedule_from_config(config)
+    _check_attention_shapes(config, command)
     return config
+
+
+def _check_attention_shapes(config, command):
+    """Build every attention shape the config names and place every
+    mediator count on the token grid it pools."""
+    model_cfg = ToyModelConfig.from_json_dict(config["model"])
+    counts = [model_cfg.default_mediators]
+    schedule = _schedule_from_config(config)
+    if schedule is not None:
+        counts += [schedule.start_count] + [level.count for level in schedule.levels]
+    # Only a sweep runs the sweep's counts on the model.
+    if command == "sweep":
+        counts += config["sweep"]["counts"]
+    for count in counts:
+        MediatorConfig.from_count(count, model_cfg.attention_config)
+    flops = config["flops"]
+    grid = grid_extents(flops["grid"], "flops grid")
+    flops_cfg = AttentionConfig(flops["n_tokens"], flops["channels"], flops["heads"], *grid)
+    for count in flops["counts"]:
+        MediatorConfig.from_count(count, flops_cfg)
+    bench = config["bench"]
+    for n_tokens in bench["sizes"]:
+        bench_cfg = AttentionConfig.square(n_tokens, bench["channels"], bench["heads"])
+        MediatorConfig.from_count(bench["mediators"], bench_cfg)
 
 
 def _int_list(raw, flag):
@@ -342,9 +364,6 @@ def cmd_sweep(args, config, out):
         metrics=sweep_cfg["metrics"],
         two_level=sweep_cfg["two_level"],
     )
-    # A count with no mediator grid fails every point; report it once.
-    for count in sweep_cfg["counts"]:
-        MediatorConfig.from_count(count, model.cfg.attention_config)
     steps, per_point_samples = sweep_cfg["steps"], sweep_cfg["samples"]
     ref_data = synth_dataset(
         child_seed(seed, "sweep", "reference"),

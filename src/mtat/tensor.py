@@ -464,30 +464,49 @@ def softmax_rows(x):
     return _make(out, "softmax_rows", (x,), vjp)
 
 
-def attend(q, k, v, factor, counter=None, label="attend"):
+def _split_heads(x, heads):
+    """(..., m, heads*d) to (..., heads, m, d), as a strided view."""
+    return x if heads == 1 else np.swapaxes(x.reshape(x.shape[:-1] + (heads, -1)), -3, -2)
+
+
+def _merge_heads(x, heads):
+    """(..., heads, m, d) to (..., m, heads*d), by one copy."""
+    return x if heads == 1 else np.swapaxes(x, -3, -2).reshape(x.shape[:-3] + (x.shape[-2], -1))
+
+
+def attend(q, k, v, factor, counter=None, label="attend", heads=1):
     """Attention softmax(factor * q k^T) v over the last two axes, as one op.
 
-    ``q`` is (..., m, d), ``k`` (..., n, d) and ``v`` (..., n, e), with
-    equal leading axes. Returns the (..., m, e) output and the (..., m, n)
-    attention map. The map is a record-less tensor over a read-only array
+    ``q`` is (..., m, H*d), ``k`` (..., n, H*d) and ``v`` (..., n, H*e),
+    with equal leading axes and ``heads`` = H heads side by side in the
+    last axis. Every head attends on its own columns, read as strided
+    views. Returns the (..., m, H*e) output, the heads' columns side by
+    side again, and the (..., H, m, n) attention map, (..., m, n) for
+    one head. The map is a record-less tensor over a read-only array
     that the VJP also reads: copy it before mutating. The scores are
     written once, from the scaled q times a transposed view of k, and
     normalised in place; the tape keeps the map, not the scores. When
     ``counter`` is given, the two products' m*n*d + m*n*e multiply-
-    accumulates are added under ``label``; backward work is not metered.
-    Parents that do not require grad get no gradient product.
+    accumulates per head are added under ``label``; backward work is not
+    metered. Parents that do not require grad get no gradient product.
     """
     q = _as_tensor(q, "attend")
     k = _as_tensor(k, "attend")
     v = _as_tensor(v, "attend")
+    heads = int(heads)
     if (
         min(q.ndim, k.ndim, v.ndim) < 2
         or q.shape[-1] != k.shape[-1]
         or k.shape[-2] != v.shape[-2]
         or not q.shape[:-2] == k.shape[:-2] == v.shape[:-2]
+        or heads < 1
+        or q.shape[-1] % heads
+        or v.shape[-1] % heads
     ):
-        raise DimensionError(f"attend shapes disagree: q {q.shape}, k {k.shape}, v {v.shape}")
-    qd, kd, vd = q.data, k.data, v.data
+        raise DimensionError(
+            f"attend shapes disagree: q {q.shape}, k {k.shape}, v {v.shape}, {heads} heads"
+        )
+    qd, kd, vd = (_split_heads(x.data, heads) for x in (q, k, v))
     factor = float(factor)
     if counter is not None:
         counter.add(label, math.prod(q.shape[:-1]) * k.shape[-2] * (q.shape[-1] + v.shape[-1]))
@@ -501,7 +520,8 @@ def attend(q, k, v, factor, counter=None, label="attend"):
     need_q, need_k, need_v = q.requires_grad, k.requires_grad, v.requires_grad
 
     def vjp(g):
-        g_v = np.swapaxes(attn, -1, -2) @ g if need_v else None
+        g = _split_heads(g, heads)
+        g_v = _merge_heads(np.swapaxes(attn, -1, -2) @ g, heads) if need_v else None
         if not (need_q or need_k):
             return None, None, g_v
         # g_s = factor * attn * (g v^T - rowsum(g v^T * attn)); the row
@@ -510,13 +530,13 @@ def attend(q, k, v, factor, counter=None, label="attend"):
         g_s -= _row_dot(g * out, 1.0)
         g_s *= attn
         g_s *= factor
-        g_q = g_s @ kd if need_q else None
-        g_k = np.swapaxes(g_s, -1, -2) @ qd if need_k else None
+        g_q = _merge_heads(g_s @ kd, heads) if need_q else None
+        g_k = _merge_heads(np.swapaxes(g_s, -1, -2) @ qd, heads) if need_k else None
         return g_q, g_k, g_v
 
     # Both results are checked for non-finite values; the map takes no
     # parents, so it gets no record.
-    return _make(out, "attend", (q, k, v), vjp), _make(attn, "attend", (), None)
+    return _make(_merge_heads(out, heads), "attend", (q, k, v), vjp), _make(attn, "attend", (), None)
 
 
 _GELU_C = math.sqrt(2.0 / math.pi)

@@ -635,17 +635,33 @@ def test_ill_typed_config_exits_2_before_writing(tmp_path, capsys, command, conf
          "flops grid must be a list of two extents, got [16]"),
         ("flops", {"flops": {"grid": [16, 16, 3]}}, [],
          "flops grid must be a list of two extents, got [16, 16, 3]"),
+        ("bench", {}, ["--sizes", "0"],
+         "attention config fields must be positive: "
+         "AttentionConfig(n_tokens=0, channels=32, heads=1, grid_h=0, grid_w=0)"),
+        ("bench", {}, ["--heads", "0", "--sizes", "16"],
+         "attention config fields must be positive: "
+         "AttentionConfig(n_tokens=16, channels=32, heads=0, grid_h=4, grid_w=4)"),
+        ("bench", {}, ["--sizes", "15"], "15 tokens do not form a square grid"),
+        ("flops", {}, ["--n", "0"], "mediator count must be positive, got 0"),
+        ("sweep", {"sweep": {"counts": [4, 16, 100]}}, [],
+         "no 100-token mediator grid fits inside 8x8"),
+        ("sample", {"schedule": {"n1": 4, "levels": [{"rho": 0.5, "n": 100}]}}, [],
+         "no 100-token mediator grid fits inside 8x8"),
+        ("train", {"model": {"default_mediators": 100}}, [],
+         "no 100-token mediator grid fits inside 8x8"),
     ],
     ids=["negative-train-steps", "negative-samples", "zero-redundancy-samples", "zero-batch",
          "zero-reference-size", "negative-flops-layers", "one-extent-flops-grid",
-         "three-extent-flops-grid"],
+         "three-extent-flops-grid", "zero-bench-size", "zero-bench-heads",
+         "non-square-bench-size", "zero-flops-count", "out-of-grid-sweep-count",
+         "out-of-grid-schedule-count", "out-of-grid-default-count"],
 )
 def test_out_of_range_config_exits_2_before_writing(tmp_path, capsys, command, config, flags, message):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
     out = tmp_path / "run"
     assert main([command, "--config", str(path), "--out", str(out)] + flags) == 2
-    assert capsys.readouterr().err == f"error: {message}\n"
+    assert capsys.readouterr() == ("", f"error: {message}\n")
     assert not out.exists()
 
 

@@ -392,15 +392,20 @@ def test_default_batch_tapes_at_most_150_records():
     assert len(seen) <= 150
 
 
-def taped_records(output):
-    seen, stack = set(), [output]
+def taped_ops(output):
+    """The op tag of every record reachable from ``output``."""
+    seen, stack = {}, [output]
     while stack:
         node = stack.pop()
         if node._record is None or id(node) in seen:
             continue
-        seen.add(id(node))
+        seen[id(node)] = node._record.op
         stack.extend(node._record.parents)
-    return len(seen)
+    return list(seen.values())
+
+
+def taped_records(output):
+    return len(taped_ops(output))
 
 
 def test_default_batch_tapes_one_record_per_attention_product():
@@ -409,6 +414,17 @@ def test_default_batch_tapes_one_record_per_attention_product():
     model = ToyDiffusionModel(cfg, seed=0)
     images, labels, times, noises = batch_inputs(cfg, 8)
     assert taped_records(batch_loss(model, images, labels, times, noises)) <= 66
+
+
+def test_default_batch_tapes_no_head_layout_ops():
+    # The heads are split and merged inside attend, so no reshape and
+    # transpose pair sits between the projections and the products.
+    cfg = ToyModelConfig()
+    model = ToyDiffusionModel(cfg, seed=0)
+    images, labels, times, noises = batch_inputs(cfg, 8)
+    ops = taped_ops(batch_loss(model, images, labels, times, noises))
+    assert len(ops) <= 48
+    assert "transpose" not in ops
 
 
 # ---------------------------------------------------------------------------

@@ -605,6 +605,56 @@ def test_attend_meters_the_two_products():
     assert fused.counts == chain.counts == {"interaction": 2 * 3 * 5 * 6 * (4 + 7)}
 
 
+def split_heads_first(x, heads):
+    """(..., N, H*d) to (..., H, N, d) by a taped reshape and transpose."""
+    *lead, tokens, width = x.shape
+    axes = (*range(len(lead)), len(lead) + 1, len(lead), len(lead) + 2)
+    return transpose(reshape(x, (*lead, tokens, heads, width // heads)), axes)
+
+
+def merge_heads_first(x):
+    """(..., H, N, d) back to (..., N, H*d), the inverse of split_heads_first."""
+    *lead, heads, tokens, dim = x.shape
+    axes = (*range(len(lead)), len(lead) + 1, len(lead), len(lead) + 2)
+    return reshape(transpose(x, axes), (*lead, tokens, heads * dim))
+
+
+@pytest.mark.parametrize("heads", [1, 2, 4])
+@pytest.mark.parametrize("lead", [(), (3,)], ids=["no-batch", "batch"])
+@pytest.mark.parametrize("m, n", [(5, 9), (9, 5), (7, 7)], ids=["m<n", "m>n", "m=n"])
+def test_attend_heads_equal_the_split_path_bit_for_bit(heads, lead, m, n):
+    rng = np.random.default_rng(35)
+    arrays = [rng.standard_normal(lead + (rows, heads * dim)) for rows, dim in ((m, 3), (n, 3), (n, 2))]
+    seed = rng.standard_normal(lead + (m, heads * 2))
+    results = []
+    for split in (False, True):
+        q, k, v = (Tensor(a, requires_grad=True) for a in arrays)
+        counter = MacCounter()
+        if split:
+            out, attn = attend(*(split_heads_first(x, heads) for x in (q, k, v)), 0.6, counter)
+            out = merge_heads_first(out)
+        else:
+            out, attn = attend(q, k, v, 0.6, counter, heads=heads)
+        backward(out, seed=seed)
+        results.append((out.data, attn.data, q.grad, k.grad, v.grad, counter.counts))
+    fused, split = results
+    assert fused[1].shape == lead + ((heads,) if heads > 1 else ()) + (m, n)
+    assert np.array_equal(fused[1], split[1].reshape(fused[1].shape))
+    for got, want in zip(fused[:1] + fused[2:5], split[:1] + split[2:5]):
+        assert got.shape == want.shape and np.array_equal(got, want)
+    assert fused[5] == split[5] == {"attend": math.prod(lead) * heads * m * n * (3 + 2)}
+
+
+def test_attend_rejects_heads_that_do_not_divide_the_widths():
+    q, k = Tensor(np.ones((4, 6))), Tensor(np.ones((5, 6)))
+    with pytest.raises(DimensionError):
+        attend(q, k, Tensor(np.ones((5, 6))), 1.0, heads=4)
+    with pytest.raises(DimensionError):
+        attend(q, k, Tensor(np.ones((5, 3))), 1.0, heads=2)
+    with pytest.raises(DimensionError):
+        attend(q, k, Tensor(np.ones((5, 6))), 1.0, heads=0)
+
+
 def test_attend_rejects_non_finite_results_and_bad_shapes():
     huge = Tensor(np.full((2, 3), 1e200))
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericError):
