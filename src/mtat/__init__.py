@@ -34,6 +34,7 @@ from .diffusion import (
     batch_loss,
     capture_redundancy,
     euler_sample,
+    euler_samples,
     fid_proxy,
     image_from_tokens,
     interpolate,
@@ -63,6 +64,7 @@ from .scheduler import (
     MediatorSchedule,
     ScheduleLevel,
     SweepPoint,
+    Trajectory,
     latent_distance,
     pareto_envelope,
     run_scheduled_sampling,

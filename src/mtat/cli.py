@@ -34,7 +34,7 @@ from .diffusion import (
     ToyDiffusionModel,
     ToyModelConfig,
     capture_redundancy,
-    euler_sample,
+    euler_samples,
     fid_proxy,
     grid_extents,
     synth_dataset,
@@ -204,7 +204,19 @@ def _resolve(args):
             f"redundancy.pair_cap must be null or a positive integer, got {pair_cap!r}"
         )
     _check_attention_shapes(config, command)
+    if command == "sweep":
+        _sweep_points(config)
     return config
+
+
+def _sweep_points(config):
+    sweep = config["sweep"]
+    return threshold_grid(
+        rho_values=sweep["rho_values"],
+        counts=sweep["counts"],
+        metrics=sweep["metrics"],
+        two_level=sweep["two_level"],
+    )
 
 
 def _check_attention_shapes(config, command):
@@ -307,13 +319,13 @@ def cmd_sample(args, config, out):
     schedule = _schedule_from_config(config)
     steps, samples = config["sampler"]["steps"], config["sampler"]["samples"]
 
+    labels = [i % model.cfg.classes for i in range(samples)]
+    (results,) = euler_samples(model, labels, steps, seed, [schedule])
     per_sample = []
     total = FlopsReport()
-    for i in range(samples):
-        label = i % model.cfg.classes
-        result = euler_sample(
-            model, label, steps, seed, schedule=schedule, sample_index=i,
-        )
+    for i, (label, result) in enumerate(zip(labels, results)):
+        if isinstance(result, Exception):
+            raise result
         save_tensor(os.path.join(out, f"sample_{i:03d}.mtat"), Tensor(result.image))
         write_text_atomic(os.path.join(out, f"trace_{i:03d}.csv"), result.trace.to_csv())
         per_sample.append(result.flops.to_json_dict())
@@ -358,12 +370,7 @@ def cmd_sweep(args, config, out):
     seed = config["seed"]
     model = _model_from_config(config, args.ckpt)
     sweep_cfg = config["sweep"]
-    points = threshold_grid(
-        rho_values=sweep_cfg["rho_values"],
-        counts=sweep_cfg["counts"],
-        metrics=sweep_cfg["metrics"],
-        two_level=sweep_cfg["two_level"],
-    )
+    points = _sweep_points(config)
     steps, per_point_samples = sweep_cfg["steps"], sweep_cfg["samples"]
     ref_data = synth_dataset(
         child_seed(seed, "sweep", "reference"),
@@ -372,25 +379,23 @@ def cmd_sweep(args, config, out):
     )
     reference = FidReference.fit(ref_data.images, seed=seed)
     # Every point draws sample s from the same noise, so points differ only
-    # in schedule, and points whose counts agree so far share those steps:
-    # one cache per sample holds them, and the sample's noise, for this
-    # sweep. Points whose counts agree throughout produce the same images;
-    # fid_proxy is a deterministic function of them, so each distinct
-    # image stack is scored once.
-    noise_seed = child_seed(seed, "sweep")
-    caches = [{} for _ in range(per_point_samples)]
+    # in schedule; one lockstep run samples them all, and points whose
+    # counts agree so far share those steps. Points whose counts agree
+    # throughout produce the same images; fid_proxy is a deterministic
+    # function of them, so each distinct image stack is scored once.
+    labels = [s % model.cfg.classes for s in range(per_point_samples)]
+    sampled = euler_samples(
+        model, labels, steps, child_seed(seed, "sweep"), [point.schedule for point in points]
+    )
     qualities = {}
     first_deltas = set()
 
     def evaluate(point):
         images = []
         flops_total = 0
-        for s in range(per_point_samples):
-            label = s % model.cfg.classes
-            result = euler_sample(
-                model, label, steps, noise_seed,
-                schedule=point.schedule, sample_index=s, cache=caches[s],
-            )
+        for result in sampled[point.index]:
+            if isinstance(result, Exception):
+                raise result
             images.append(result.image)
             flops_total += result.flops.total_flops
             first_deltas.add(result.trace.delta0)

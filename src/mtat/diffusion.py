@@ -260,9 +260,12 @@ class ToyDiffusionModel:
 
         One sample: ``x`` is an image or an (N, C) token matrix, ``t`` a
         scalar and ``label`` an int, and the velocity is (N, C). A batch:
-        ``t`` and ``label`` hold one entry per sample and ``x`` is the
-        (B, N, C) stack, run through every op at once; the velocity is
-        (B, N, C). Returns (velocity tensor, captured per-layer maps or
+        ``label`` holds one entry per sample and ``x`` is the (B, N, C)
+        stack, run through every op at once; the velocity is (B, N, C).
+        ``t`` is one time per sample, or a scalar shared by all of them.
+        A shared time's row is computed once and broadcast, so every
+        sample's velocity and maps equal its own single-sample forward
+        bit for bit. Returns (velocity tensor, captured per-layer maps or
         None); a batch's map stacks hold every sample's heads in order. Only
         attention work is metered by ``counter``; the lift, conditioning,
         and MLPs are off the books by design.
@@ -272,22 +275,23 @@ class ToyDiffusionModel:
         if not np.all((0.0 <= times) & (times <= 1.0)):
             raise DomainError(f"time {t} outside [0, 1]")
         labels = np.asarray(label, dtype=np.int64)
-        if labels.shape != times.shape:
+        if times.shape not in ((), labels.shape):
             raise DimensionError(f"{labels.size} labels for {times.size} times")
         if np.any((labels < 0) | (labels >= cfg.classes)):
             raise DomainError(f"label {label} outside [0, {cfg.classes})")
         count = cfg.default_mediators if mediator_count is None else int(mediator_count)
         attn_cfg = cfg.attention_config
-        if times.ndim:
+        if labels.ndim:
             tokens = Tensor(np.stack([tokens_from_image(sample, cfg) for sample in x]))
         else:
             tokens = Tensor(tokens_from_image(x, cfg))
-        if tokens.shape != times.shape + (cfg.n_tokens, cfg.channels):
+        if tokens.shape != labels.shape + (cfg.n_tokens, cfg.channels):
             raise DimensionError(
-                f"tokens of shape {tokens.shape} do not match {times.size} time(s)"
+                f"tokens of shape {tokens.shape} do not match {labels.size} label(s)"
             )
 
-        # Conditioning rows are (..., 1, hidden), added to every token.
+        # Conditioning rows are (..., 1, hidden), added to every token; a
+        # shared time gives one (1, hidden) row.
         z = add(matmul(tokens, self.params["in_proj.w"]), self.params["in_proj.b"])
         t_row = matmul(
             Tensor(time_features(times[..., None], cfg.time_width)), self.params["time_proj.w"]
@@ -318,6 +322,7 @@ class ToyDiffusionModel:
             z = add(z, attn_out)
             if capture:
                 captured.append(maps)
+            del maps  # uncaptured maps are freed before the MLP runs
             normed = layer_norm(
                 z, self.params[f"{prefix}.norm2.gain"], self.params[f"{prefix}.norm2.bias"]
             )
@@ -458,20 +463,22 @@ class ModelBundle:
 
     One weight set serves every mediator count, since pooling has no
     parameters; ``default_count``, the model's default, runs every step
-    of an unscheduled run.
+    of an unscheduled run. A capturing bundle appends each call's
+    per-layer maps to ``step_maps``.
     """
 
-    def __init__(self, model, label, capture=False):
+    def __init__(self, model, capture=False):
         self.model = model
-        self.label = int(label)
         self.capture = capture
         self.step_maps = []
         self.default_count = model.cfg.default_mediators
 
-    def velocity(self, x, t, count):
+    def velocity(self, x, t, count, labels):
+        """Velocities of the (B, N, C) latents ``x`` at the shared time
+        ``t``, with one label per latent."""
         with no_grad():
             out, maps = self.model.forward(
-                x, t, self.label, mediator_count=count, capture=self.capture
+                x, t, labels, mediator_count=count, capture=self.capture
             )
         if self.capture:
             self.step_maps.append(maps)
@@ -494,28 +501,40 @@ def _initial_noise(cfg, seed, sample_index):
     return rng.standard_normal((cfg.n_tokens, cfg.channels))
 
 
-def euler_sample(model, label, steps, seed, schedule=None, sample_index=0, cache=None):
+def euler_samples(model, labels, steps, seed, schedules=(None,), sample_indices=None):
+    """Draw every sample under every schedule by deterministic Euler
+    integration from noise, all in one lockstep run.
+
+    Sample s has label ``labels[s]`` and starts from the noise of sample
+    index ``sample_indices[s]`` (default s) under ``seed``. Returns one
+    list per schedule of one entry per sample: a SampleResult with the
+    final image on the spatial grid, or the exception that stopped that
+    sample's run.
+    """
+    cfg = model.cfg
+    indices = range(len(labels)) if sample_indices is None else sample_indices
+    starts = [_initial_noise(cfg, seed, i) for i in indices]
+    runs = run_scheduled_sampling(ModelBundle(model), starts, labels, steps, schedules)
+    return [
+        [
+            run.error or SampleResult(image_from_tokens(run.latent, cfg), run.trace, run.flops)
+            for run in row
+        ]
+        for row in runs
+    ]
+
+
+def euler_sample(model, label, steps, seed, schedule=None, sample_index=0):
     """Draw one sample by deterministic Euler integration from noise.
 
     ``sample_index`` separates the noise streams of samples drawn under
-    one seed; ``cache`` goes to ``run_scheduled_sampling`` and may only
-    be shared between calls with the same model, label, seed, sample
-    index and step count. The cache also keeps the initial noise,
-    read-only, under the key ``"noise"`` (step keys are tuples), so
-    calls that share a cache draw it once. Returns a SampleResult with
-    the final image on the spatial grid.
+    one seed. Returns a SampleResult with the final image on the spatial
+    grid.
     """
-    cfg = model.cfg
-    x_init = None if cache is None else cache.get("noise")
-    if x_init is None:
-        x_init = _initial_noise(cfg, seed, sample_index)
-        if cache is not None:
-            x_init.flags.writeable = False
-            cache["noise"] = x_init
-    final, trace, flops = run_scheduled_sampling(
-        ModelBundle(model, label), x_init, steps, schedule, cache
-    )
-    return SampleResult(image=image_from_tokens(final, cfg), trace=trace, flops=flops)
+    ((result,),) = euler_samples(model, [label], steps, seed, [schedule], [sample_index])
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 def capture_redundancy(model, labels, steps, seed, schedule=None, pair_cap=None):
@@ -536,8 +555,9 @@ def capture_redundancy(model, labels, steps, seed, schedule=None, pair_cap=None)
     scores = np.zeros((len(model.cfg.layer_kinds), steps))
     seconds = np.zeros_like(scores)
     for s, label in enumerate(labels):
-        bundle = ModelBundle(model, label, capture=True)
-        run_scheduled_sampling(bundle, _initial_noise(model.cfg, seed, s), steps, schedule)
+        bundle = ModelBundle(model, capture=True)
+        noise = _initial_noise(model.cfg, seed, s)
+        run_scheduled_sampling(bundle, [noise], [label], steps, [schedule])[0][0].result()
         for t, step_maps in enumerate(bundle.step_maps):
             for layer, maps in enumerate(step_maps):
                 if maps.kind == "mediated":

@@ -28,6 +28,10 @@ from .errors import (
 from .tensor import Tensor
 
 METRICS = ("l1", "l2")
+# At most this many latents go through one model call of the sampler. On
+# the default model each row adds about 0.2 MB to a call's peak, and the
+# default sweep ran no faster with more rows per call.
+MAX_BATCH = 4
 
 
 def latent_distance(a, b, metric="l1"):
@@ -177,70 +181,159 @@ class LatentTrace:
         return "\n".join(lines) + "\n"
 
 
-def run_scheduled_sampling(bundle, x_init, steps, schedule=None, cache=None):
-    """Deterministic Euler sampling from t=1 noise down to t=0.
+@dataclass
+class Trajectory:
+    """One (schedule, start) run of ``run_scheduled_sampling``: its
+    per-step trace, final latent and summed MAC bill, or the error that
+    stopped it. The latent is read-only and may be shared with other
+    runs that picked the same counts."""
 
-    ``bundle`` supplies ``velocity(x, t, count)`` and
-    ``step_flops(count)``; with no schedule it must also expose
-    ``default_count``. The displacement of each completed step selects
-    the mediator count for the next one. A first step that does not move
-    the latent at all leaves the schedule at its starting level for the
-    whole run, since relative thresholds are meaningless there.
+    trace: LatentTrace
+    latent: object = None
+    flops: FlopsReport = field(default_factory=FlopsReport)
+    error: Exception = None
 
-    ``cache`` is an optional caller-owned dict of whole steps. The key is
-    the metric, the counts of the steps taken so far and this step's
-    count; the value is the step's result, (latent after the step,
-    displacement), with the latent read-only. From a fixed start the
-    latent before step k depends only on the counts of steps 0..k-1, and
-    the displacement also on the metric, so runs whose schedules pick the
-    same counts share those steps. A hit does no array arithmetic; only a
-    miss calls ``bundle.velocity``, and every computed step checks the
-    velocity's shape and the new latent's finiteness. One cache serves
-    one (model, label, initial latent, step count), for any metrics; a
-    capturing bundle records maps only for the steps it computes. With a
-    cache, the returned latent is read-only.
+    def result(self):
+        """(final latent, LatentTrace, FlopsReport); raises the run's error."""
+        if self.error is not None:
+            raise self.error
+        return self.latent, self.trace, self.flops
 
-    Returns (final latent, LatentTrace, summed FlopsReport).
+
+def _euler_step(bundle, x, labels, k, steps, count):
+    """Euler step ``k`` of the stacked latents ``x``, checked."""
+    velocity = np.asarray(bundle.velocity(x, 1.0 - k / steps, count, labels), dtype=np.float64)
+    if velocity.shape != x.shape:
+        raise DimensionError(f"velocity shape {velocity.shape} does not match latents {x.shape}")
+    x_next = x - velocity / steps
+    if not np.all(np.isfinite(x_next)):
+        raise NumericError(f"sampling diverged at step {k}")
+    x_next.flags.writeable = False
+    return x_next
+
+
+def _step_rows(bundle, rows, labels, k, steps, count):
+    """Euler step ``k`` of every row in one model call. If the call or a
+    check fails, the rows step one by one, so each failing row gets its
+    own error. Returns one new latent or exception per row."""
+    try:
+        return list(_euler_step(bundle, np.stack(rows), labels, k, steps, count))
+    except Exception:  # noqa: BLE001 - rerun row by row to find the failing rows
+        outs = []
+        for row, label in zip(rows, labels):
+            try:
+                outs.append(_euler_step(bundle, row[None], [label], k, steps, count)[0])
+            except Exception as exc:  # noqa: BLE001 - rows fail independently
+                outs.append(exc)
+        return outs
+
+
+@dataclass
+class _Run:
+    """A trajectory in progress: its schedule state and its node, the
+    start index followed by the counts of the steps taken so far."""
+
+    trajectory: Trajectory
+    schedule: object
+    count: int
+    node: tuple
+    level: int = 0
+
+    def advance(self, k, stepped, latents, shared, bundle):
+        """Record step ``k`` from the stepped nodes and pick the next
+        count. Runs at one node with one metric share its displacement
+        and MAC bill through ``shared``."""
+        child = self.node + (self.count,)
+        x_next = stepped[child]
+        if isinstance(x_next, Exception):
+            raise x_next
+        trace = self.trajectory.trace
+        step_report = bundle.step_flops(self.count)
+        key = (child, trace.metric)
+        if key not in shared:
+            shared[key] = (
+                latent_distance(latents[self.node], x_next, trace.metric),
+                self.trajectory.flops + step_report,
+            )
+        delta, self.trajectory.flops = shared[key]
+        trace.deltas.append(delta)
+        trace.selected.append(self.count)
+        trace.step_macs.append(step_report.total_macs)
+        self.trajectory.latent = x_next
+        self.node = child
+        if k == 0:
+            trace.delta0 = delta
+        if self.schedule is not None and trace.delta0 > 0.0:
+            self.count, self.level = select_mediator_count(
+                delta, trace.delta0, self.level, self.schedule
+            )
+
+
+def run_scheduled_sampling(bundle, starts, labels, steps, schedules=(None,)):
+    """Deterministic Euler sampling from t=1 noise down to t=0 for every
+    (schedule, start) pair, all advanced together one step at a time.
+
+    ``starts`` are the initial latents and ``labels`` their class labels.
+    ``bundle`` supplies ``velocity(x, t, count, labels)``, over a stack
+    of latents at one time with one label per row, and
+    ``step_flops(count)``; a None schedule runs every step at
+    ``bundle.default_count``. The displacement of each completed step
+    selects the mediator count for the next one. A first step that does
+    not move the latent at all leaves the schedule at its starting level
+    for the whole run, since relative thresholds are meaningless there.
+
+    From a fixed start the latent before step k depends only on the
+    counts of steps 0..k-1, so runs whose schedules have picked the same
+    counts share it, whatever their metrics. Each step computes every
+    distinct (start, counts so far) node once: the nodes that run the
+    same count go through one ``bundle.velocity`` call of at most
+    ``MAX_BATCH`` rows, and the bundle must give each row the velocity
+    of its own one-row call. Each call checks the velocity's shape and
+    the new latents' finiteness; an error stops only the runs through
+    the node that raised it. A capturing bundle records one map set per
+    call, so it captures one run at a time.
+
+    Returns one list per schedule of one Trajectory per start.
     """
     steps = int(steps)
     if steps < 1:
         raise DomainError(f"sampling needs at least one step, got {steps}")
-    x = np.array(x_init, dtype=np.float64)
-    if schedule is not None:
-        count, metric = schedule.start_count, schedule.metric
-    else:
-        count, metric = int(bundle.default_count), "l1"
-    level = 0
-    trace = LatentTrace(metric=metric)
-    total = FlopsReport()
+    if len(starts) != len(labels):
+        raise DimensionError(f"{len(labels)} labels for {len(starts)} starting latents")
+    latents = {(s,): np.array(x, dtype=np.float64) for s, x in enumerate(starts)}
+    grid, runs = [], []
+    for schedule in schedules:
+        if schedule is not None:
+            count, metric = schedule.start_count, schedule.metric
+        else:
+            count, metric = int(bundle.default_count), "l1"
+        row = [Trajectory(LatentTrace(metric=metric)) for _ in starts]
+        runs += [_Run(trajectory, schedule, count, (s,)) for s, trajectory in enumerate(row)]
+        grid.append(row)
     for k in range(steps):
-        key = (metric, *trace.selected, count)
-        step = None if cache is None else cache.get(key)
-        if step is None:
-            velocity = np.asarray(bundle.velocity(x, 1.0 - k / steps, count), dtype=np.float64)
-            if velocity.shape != x.shape:
-                raise DimensionError(
-                    f"velocity shape {velocity.shape} does not match latent {x.shape}"
+        live = [run for run in runs if run.trajectory.error is None]
+        groups = {}  # count -> the nodes that step at it, in first-seen order
+        for run in live:
+            groups.setdefault(run.count, {})[run.node] = None
+        stepped = {}
+        for count, nodes in groups.items():
+            nodes = list(nodes)
+            for first in range(0, len(nodes), MAX_BATCH):
+                chunk = nodes[first : first + MAX_BATCH]
+                outs = _step_rows(
+                    bundle, [latents[node] for node in chunk],
+                    [labels[node[0]] for node in chunk], k, steps, count,
                 )
-            x_next = x - velocity / steps
-            if not np.all(np.isfinite(x_next)):
-                raise NumericError(f"sampling diverged at step {k}")
-            step = x_next, latent_distance(x, x_next, metric)
-            if cache is not None:
-                x_next.flags.writeable = False
-                cache[key] = step
-        x_next, delta = step
-        step_report = bundle.step_flops(count)
-        trace.deltas.append(delta)
-        trace.selected.append(count)
-        trace.step_macs.append(step_report.total_macs)
-        total = total + step_report
-        if k == 0:
-            trace.delta0 = delta
-        if schedule is not None and trace.delta0 > 0.0:
-            count, level = select_mediator_count(delta, trace.delta0, level, schedule)
-        x = x_next
-    return x, trace, total
+                for node, out in zip(chunk, outs):
+                    stepped[node + (count,)] = out
+        shared = {}
+        for run in live:
+            try:
+                run.advance(k, stepped, latents, shared, bundle)
+            except Exception as exc:  # noqa: BLE001 - runs fail independently
+                run.trajectory.error = exc
+        latents = stepped
+    return grid
 
 
 # ---------------------------------------------------------------------------

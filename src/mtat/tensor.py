@@ -89,10 +89,16 @@ def _constant_column(size, value):
 
 def _row_dot(x, value):
     """``value`` times the sums over the last axis, which is kept, as one
-    GEMV by a cached constant column: numpy's reductions over a short
-    last axis cost several times as much."""
-    cols = x.shape[-1]
-    return (x.reshape(-1, cols) @ _constant_column(cols, value)).reshape(x.shape[:-1] + (1,))
+    GEMV per trailing matrix by a cached constant column: numpy's
+    reductions over a short last axis cost several times as much.
+
+    One GEMV per matrix, not one over all rows, keeps each sum
+    independent of how many matrices are stacked: OpenBLAS sums rows in
+    blocks of four and a remainder in a tail kernel whose bits differ,
+    so a sample's sums would depend on its batch.
+    """
+    column = _constant_column(x.shape[-1], value)
+    return (x.reshape((-1,) + x.shape[-2:]) @ column).reshape(x.shape[:-1] + (1,))
 
 
 def _row_max(x):

@@ -1,8 +1,10 @@
-"""The benchmark's attention workload still runs and passes its checks.
+"""The benchmark's workloads still run and pass their checks.
 
 ``perfbench/run.py`` reads the attention layer's ``(out, maps)`` returns,
-the map stacks and the MAC labels; this one-second run fails when any of
-them changes shape or name.
+the map stacks and the MAC labels; its traced run patches
+``ToyDiffusionModel.forward``, ``ModelBundle.velocity``,
+``SgdState.apply`` and the scheduler's thread pool. These short runs fail
+when any of them changes shape or name.
 """
 
 import json
@@ -13,13 +15,21 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_attention_workload_runs_correct():
+def run_workload(workload, trace):
     done = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", "attention",
-         "--seed", "1", "--seconds", "1", "--trace", "0"],
+        [sys.executable, "perfbench/run.py", "--workload", workload,
+         "--seed", "1", "--seconds", "1", "--trace", str(trace)],
         cwd=ROOT, capture_output=True, text=True, timeout=300,
     )
     assert done.returncode == 0, done.stderr
     result = json.loads(done.stdout.splitlines()[-1])
     assert result["correct"] is True, done.stdout
     assert result["failed"] == 0
+
+
+def test_attention_workload_runs_correct():
+    run_workload("attention", trace=0)
+
+
+def test_traced_sweep_workload_runs_correct():
+    run_workload("sweep", trace=1)

@@ -26,7 +26,7 @@ from mtat.diffusion import (
     synth_dataset,
 )
 from mtat.errors import NumericError
-from mtat.scheduler import pareto_envelope, threshold_grid
+from mtat.scheduler import MAX_BATCH, pareto_envelope, threshold_grid
 from mtat.serialize import load_checkpoint
 from mtat.tensor import Tensor
 from mtat.serialize import save_checkpoint
@@ -345,6 +345,19 @@ def test_sweep_rejects_a_zero_sample_or_step_count_before_any_point_runs(tmp_pat
         assert not (out / name).exists()
 
 
+@pytest.mark.parametrize("sweep, message", [
+    ({"counts": [4]}, "threshold_grid needs at least two mediator counts"),
+    ({"metrics": ["l3"]}, "metric must be one of ('l1', 'l2'), got 'l3'"),
+])
+def test_sweep_rejects_a_grid_it_cannot_build_before_writing_anything(tmp_path, capsys, sweep, message):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"sweep": sweep}))
+    out = tmp_path / "run"
+    assert main(["sweep", "--config", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_sample_rejects_a_non_boolean_latching_flag(tmp_path, capsys):
     path = tmp_path / "schedule.json"
     path.write_text(json.dumps({"n1": 4, "latching": "false"}))
@@ -381,18 +394,18 @@ TRIE_CONFIG = dict(
 
 @pytest.fixture(scope="module")
 def trie_run(tmp_path_factory, micro_ckpt):
-    """The micro sweep run through main(), with the velocity calls it made,
-    the random streams it opened and the image stacks it scored, next to
-    each point recomputed on its own without a cache."""
+    """The micro sweep run through main(), with the rows of each velocity
+    call it made, the random streams it opened and the image stacks it
+    scored, next to each point recomputed on its own."""
     tmp = tmp_path_factory.mktemp("trie")
     path = tmp / "config.json"
     path.write_text(json.dumps(TRIE_CONFIG))
     calls, scored, streams = [], [], []
     velocity = ModelBundle.velocity
 
-    def counted(self, x, t, count):
-        calls.append(count)
-        return velocity(self, x, t, count)
+    def counted(self, x, t, count, labels):
+        calls.append(len(x))
+        return velocity(self, x, t, count, labels)
 
     def counted_stream(seed, *names):
         streams.append(names)
@@ -436,7 +449,7 @@ def trie_run(tmp_path_factory, micro_ckpt):
         uncached.append((point, cost, quality, traces))
         stacks.append(stack.tobytes())
     return SimpleNamespace(
-        rows=rows, envelope=envelope, calls=len(calls), scored=scored,
+        rows=rows, envelope=envelope, calls=calls, scored=scored,
         streams=streams, uncached=uncached, stacks=stacks,
     )
 
@@ -476,15 +489,19 @@ def test_sweep_calls_the_model_once_per_distinct_count_prefix(trie_sweep):
         for length in range(1, steps + 1)
     }
     assert len(prefixes) > samples * steps  # the schedules do branch
-    assert calls == len(prefixes)
+    rows = sum(calls)
+    assert rows == len(prefixes)
     # Latched counts never fall and start at the first level, so a prefix of
     # length L is one of comb(L + levels - 2, levels - 1) sequences.
     trie_bound = samples * sum(math.comb(L + levels - 2, levels - 1) for L in range(1, steps + 1))
-    assert calls <= trie_bound < len(uncached) * samples * steps
+    assert rows <= trie_bound < len(uncached) * samples * steps
+    # Each step makes one call per count, split into calls of MAX_BATCH rows.
+    assert max(calls) <= MAX_BATCH
+    assert len(calls) <= steps * levels * math.ceil(rows / MAX_BATCH)
 
 
 def test_sweep_draws_each_samples_noise_once(trie_run):
-    # 9 points x 2 samples share 2 latents; the step cache keeps each one.
+    # 9 points x 2 samples share 2 latents; the lockstep run draws each once.
     samples = TRIE_CONFIG["sweep"]["samples"]
     noise = sorted(names for names in trie_run.streams if names[0] == "sampling")
     assert noise == [("sampling", s) for s in range(samples)]
@@ -505,10 +522,44 @@ def test_sweep_scores_each_distinct_image_stack_once(trie_run):
     assert set(trie_run.scored) == distinct
 
 
+def test_a_failing_model_call_fails_only_the_points_through_its_node(
+    tmp_path, micro_ckpt, trie_run, monkeypatch
+):
+    # Sample 1 (label 1) stands on one node when its last step runs at 4
+    # mediators; sample 0's nodes at that step and count share its call.
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(TRIE_CONFIG))
+    velocity = ModelBundle.velocity
+    message = "no velocity for sample 1's last step at 4 mediators"
+
+    def failing(self, x, t, count, labels):
+        if count == 4 and t == 1.0 - 2 / 3 and 1 in list(labels):
+            raise NumericError(message)
+        return velocity(self, x, t, count, labels)
+
+    monkeypatch.setattr(ModelBundle, "velocity", failing)
+    outs = [tmp_path / name for name in ("a", "b")]
+    for out in outs:
+        assert main(["sweep", "--config", str(path), "--ckpt", micro_ckpt, "--out", str(out)]) == 0
+    for name in ("sweep.csv", "envelope.csv", "failures.csv"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+    through = [point.index for point, _, _, traces in trie_run.uncached if traces[1][2] == 4]
+    sharing = [point.index for point, _, _, traces in trie_run.uncached if traces[0][2] == 4]
+    assert through and set(sharing) - set(through)
+    failures = list(csv.reader(io.StringIO((outs[0] / "failures.csv").read_text())))[1:]
+    assert [int(row[0]) for row in failures] == through
+    assert all(row[4:] == ["NumericError", message] for row in failures)
+    _, rows = read_csv(outs[0] / "sweep.csv")
+    kept = [row[:5] for i, row in enumerate(trie_run.rows) if i not in through]
+    assert [row[:5] for row in rows] == kept
+
+
 def test_two_metric_sweep_rows_match_single_metric_sweeps(tmp_path, micro_ckpt):
-    # One step cache per sample serves both metrics. Over six steps the l1
-    # and l2 displacement ratios cross the grid's thresholds at different
-    # steps, so a cache that mixed them up would change the l2 rows.
+    # Runs of both metrics share the steps whose counts agree. Over six
+    # steps the l1 and l2 displacement ratios cross the grid's thresholds at
+    # different steps, so a sampler that mixed them up would change the l2
+    # rows.
     def rows(metrics):
         path = tmp_path / "config.json"
         path.write_text(json.dumps(dict(

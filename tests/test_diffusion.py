@@ -16,6 +16,7 @@ from mtat.diffusion import (
     batch_loss,
     capture_redundancy,
     euler_sample,
+    euler_samples,
     fid_proxy,
     image_from_tokens,
     interpolate,
@@ -27,7 +28,7 @@ from mtat.diffusion import (
 from mtat.errors import ConfigError, DimensionError, DomainError, NumericError, UsageError
 from mtat.redundancy import redundancy_score
 from mtat.scheduler import MediatorSchedule, ScheduleLevel, run_scheduled_sampling
-from mtat.tensor import MacCounter, Tensor, backward, mean_all
+from mtat.tensor import MacCounter, Tensor, backward, mean_all, no_grad
 from mtat.attention import FlopsReport
 from mtat.util import stream_rng
 
@@ -350,6 +351,36 @@ def test_batched_forward_rejects_mismatched_batches():
         model.forward(tokens, [0.1, 1.2, 0.3], [0, 1, 2])
 
 
+@pytest.mark.parametrize("which, counts", [("micro", (1, 4, 16)), ("default", (4, 16, 64))])
+def test_forward_at_one_time_equals_each_samples_own_forward(which, counts):
+    # Bit for bit, not within a tolerance: the sampler stacks the latents
+    # of one step and promises every row its single-sample result.
+    model = warmed_model() if which == "micro" else randomised_default_model()
+    cfg = model.cfg
+    rng = stream_rng(7, "test-batch-invariance")
+    with no_grad():
+        for count in counts:
+            for size in (1, 2, 3, 5, 9):
+                tokens = rng.standard_normal((size, cfg.n_tokens, cfg.channels))
+                labels = np.arange(size) % cfg.classes
+                batched, maps = model.forward(
+                    tokens, 0.625, labels, mediator_count=count, capture=True
+                )
+                for b in range(size):
+                    single, single_maps = model.forward(
+                        tokens[b], 0.625, int(labels[b]), mediator_count=count, capture=True
+                    )
+                    assert np.array_equal(batched.data[b], single.data), (count, size, b)
+                    heads = slice(b * cfg.heads, (b + 1) * cfg.heads)
+                    for layer, alone in zip(maps, single_maps):
+                        for stage in ("heads", "query_to_mediator", "mediator_to_key"):
+                            stack = getattr(layer, stage)
+                            if stack is not None:
+                                assert np.array_equal(stack[heads], getattr(alone, stage)), (
+                                    count, size, b, stage,
+                                )
+
+
 def test_batch_loss_and_gradients_equal_the_per_sample_mean():
     model = randomised_default_model()
     cfg = model.cfg
@@ -580,6 +611,35 @@ def test_sample_indices_draw_distinct_noise():
     assert not np.array_equal(a.image, b.image)
 
 
+def test_lockstep_samples_equal_samples_drawn_one_at_a_time(monkeypatch):
+    model = warmed_model()
+    rows = []
+    velocity = ModelBundle.velocity
+
+    def counted(self, x, t, count, labels):
+        rows.append(len(x))
+        return velocity(self, x, t, count, labels)
+
+    monkeypatch.setattr(ModelBundle, "velocity", counted)
+    schedules = [
+        None,
+        MediatorSchedule(1, (ScheduleLevel(0.9, 4), ScheduleLevel(0.5, 16))),
+        MediatorSchedule(1, (ScheduleLevel(0.7, 16),), metric="l2"),
+    ]
+    labels = [0, 1, 1]
+    grid = euler_samples(model, labels, 5, seed=8, schedules=schedules)
+    # 45 (schedule, sample) steps; the first step is shared by every
+    # schedule, and rows that ran the same count went through one call.
+    assert max(rows) > 1 and sum(rows) < 45
+    for schedule, row in zip(schedules, grid):
+        assert len(row) == len(labels)
+        for s, (label, result) in enumerate(zip(labels, row)):
+            alone = euler_sample(model, label, 5, seed=8, schedule=schedule, sample_index=s)
+            assert np.array_equal(result.image, alone.image)
+            assert result.trace == alone.trace
+            assert result.flops == alone.flops
+
+
 def test_sampling_leaves_weights_untouched():
     model = warmed_model()
     before = {name: p.data.tobytes() for name, p in model.params.items()}
@@ -611,8 +671,8 @@ def test_capture_matches_direct_scores():
 
     rng = stream_rng(3, "sampling", 0)
     x0 = rng.standard_normal((16, 1))
-    bundle = ModelBundle(model, 0, capture=True)
-    run_scheduled_sampling(bundle, x0, 2)
+    bundle = ModelBundle(model, capture=True)
+    run_scheduled_sampling(bundle, [x0], [0], 2)
     assert trace.scores[0, 0] == redundancy_score(bundle.step_maps[0][0])
     assert trace.scores[1, 1] == redundancy_score(
         composed_attention_map(bundle.step_maps[1][1])
@@ -624,10 +684,10 @@ def test_capture_sample_starts_from_the_euler_sample_noise(monkeypatch):
     starts = []
     velocity = ModelBundle.velocity
 
-    def recording(self, x, t, count):
+    def recording(self, x, t, count, labels):
         if t == 1.0:
-            starts.append((self.label, np.array(x)))
-        return velocity(self, x, t, count)
+            starts.append((list(labels), np.array(x)))
+        return velocity(self, x, t, count, labels)
 
     monkeypatch.setattr(ModelBundle, "velocity", recording)
     labels = [1, 0]

@@ -460,8 +460,8 @@ def direct_scores(model, label, sample_index, steps, seed):
     capture of the sample capture_redundancy draws as ``sample_index``."""
     cfg = model.cfg
     noise = stream_rng(seed, "sampling", sample_index).standard_normal((cfg.n_tokens, cfg.channels))
-    bundle = ModelBundle(model, label, capture=True)
-    run_scheduled_sampling(bundle, noise, steps)
+    bundle = ModelBundle(model, capture=True)
+    run_scheduled_sampling(bundle, [noise], [label], steps)
     return np.array([
         [redundancy_score(composed_attention_map(m) if m.kind == "mediated" else m) for m in layers]
         for layers in bundle.step_maps

@@ -13,6 +13,7 @@ from mtat.errors import (
     UsageError,
 )
 from mtat.scheduler import (
+    MAX_BATCH,
     LatentTrace,
     MediatorSchedule,
     ScheduleLevel,
@@ -245,7 +246,7 @@ class ScriptedBundle:
         self.default_count = int(default_count)
         self._step = 0
 
-    def velocity(self, x, t, count):
+    def velocity(self, x, t, count, labels):
         if self._step >= len(self.deltas):
             raise UsageError(f"scripted bundle ran out of deltas at step {self._step}")
         magnitude = self.deltas[self._step] * self.steps
@@ -256,6 +257,12 @@ class ScriptedBundle:
         return mediator_flops(self.attn_cfg, count)
 
 
+def run_one(bundle, x_init, steps, schedule=None):
+    """The lockstep sampler on one start under one schedule."""
+    ((run,),) = run_scheduled_sampling(bundle, [x_init], [0], steps, [schedule])
+    return run.result()
+
+
 def scripted(deltas, steps, default_count=1):
     cfg = AttentionConfig.square(16, 8, 2)
     return ScriptedBundle(deltas, cfg, steps=steps, default_count=default_count)
@@ -264,7 +271,7 @@ def scripted(deltas, steps, default_count=1):
 def test_single_level_constant_count_and_flops():
     bundle = scripted([5.0, 4.0, 3.0, 2.0], steps=4, default_count=4)
     schedule = MediatorSchedule(4, ())
-    x, trace, flops = run_scheduled_sampling(bundle, np.zeros((16, 8)), 4, schedule)
+    x, trace, flops = run_one(bundle, np.zeros((16, 8)), 4, schedule)
     assert trace.selected == [4, 4, 4, 4]
     per_step = bundle.step_flops(4)
     assert flops == per_step.times(4)
@@ -277,7 +284,7 @@ def test_engineered_breakpoint_lands_at_next_step():
     # count is first used on step 3.
     bundle = scripted([6.0, 4.0, 2.0, 2.0, 2.0], steps=5)
     schedule = MediatorSchedule(1, (ScheduleLevel(0.5, 4),))
-    _, trace, _ = run_scheduled_sampling(bundle, np.zeros((16, 8)), 5, schedule)
+    _, trace, _ = run_one(bundle, np.zeros((16, 8)), 5, schedule)
     assert trace.selected == [1, 1, 1, 4, 4]
     assert trace.step_macs[2] < trace.step_macs[3]
 
@@ -285,21 +292,21 @@ def test_engineered_breakpoint_lands_at_next_step():
 def test_zero_threshold_never_switches():
     bundle = scripted([5.0, 0.1, 0.01, 0.001], steps=4)
     schedule = MediatorSchedule(1, (ScheduleLevel(0.0, 4),))
-    _, trace, _ = run_scheduled_sampling(bundle, np.zeros((16, 8)), 4, schedule)
+    _, trace, _ = run_one(bundle, np.zeros((16, 8)), 4, schedule)
     assert trace.selected == [1, 1, 1, 1]
 
 
 def test_zero_threshold_fires_on_exact_standstill():
     bundle = scripted([5.0, 0.0, 1.0], steps=3)
     schedule = MediatorSchedule(1, (ScheduleLevel(0.0, 4),))
-    _, trace, _ = run_scheduled_sampling(bundle, np.zeros((16, 8)), 3, schedule)
+    _, trace, _ = run_one(bundle, np.zeros((16, 8)), 3, schedule)
     assert trace.selected == [1, 1, 4]
 
 
 def test_frozen_first_step_stays_at_start_level():
     bundle = scripted([0.0, 0.0, 0.0], steps=3, default_count=2)
     schedule = MediatorSchedule(2, (ScheduleLevel(0.5, 8),))
-    x, trace, _ = run_scheduled_sampling(bundle, np.ones((16, 8)), 3, schedule)
+    x, trace, _ = run_one(bundle, np.ones((16, 8)), 3, schedule)
     assert trace.delta0 == 0.0
     assert trace.selected == [2, 2, 2]
     assert np.array_equal(x, np.ones((16, 8)))
@@ -307,7 +314,7 @@ def test_frozen_first_step_stays_at_start_level():
 
 def test_no_schedule_uses_bundle_default():
     bundle = scripted([1.0, 1.0], steps=2, default_count=16)
-    _, trace, _ = run_scheduled_sampling(bundle, np.zeros((16, 8)), 2)
+    _, trace, _ = run_one(bundle, np.zeros((16, 8)), 2)
     assert trace.selected == [16, 16]
     assert trace.metric == "l1"
 
@@ -315,12 +322,12 @@ def test_no_schedule_uses_bundle_default():
 def test_sampling_rejects_bad_step_count():
     bundle = scripted([1.0], steps=1)
     with pytest.raises(DomainError):
-        run_scheduled_sampling(bundle, np.zeros((16, 8)), 0)
+        run_one(bundle, np.zeros((16, 8)), 0)
 
 
 def test_trace_csv_columns():
     bundle = scripted([2.0, 1.0], steps=2, default_count=4)
-    _, trace, _ = run_scheduled_sampling(bundle, np.zeros((16, 8)), 2)
+    _, trace, _ = run_one(bundle, np.zeros((16, 8)), 2)
     lines = trace.to_csv().strip().split("\n")
     assert lines[0] == "step,delta,n_t,step_macs"
     step, delta, n_t, macs = lines[1].split(",")
@@ -328,24 +335,103 @@ def test_trace_csv_columns():
     assert int(macs) == bundle.step_flops(4).total_macs
 
 
-def test_cached_steps_are_read_only_and_replay_without_the_bundle():
-    schedule = MediatorSchedule(1, (ScheduleLevel(0.5, 4),), metric="l2")
-    cache = {}
-    x, trace, flops = run_scheduled_sampling(
-        scripted([6.0, 2.0, 1.0], steps=3), np.zeros((16, 8)), 3, schedule, cache=cache
-    )
-    assert sorted(cache) == [("l2", 1), ("l2", 1, 1), ("l2", 1, 1, 4)]
-    for latent, delta in cache.values():
-        assert not latent.flags.writeable
-        with pytest.raises(ValueError):
-            latent[0, 0] = 1.0
-    assert cache[("l2", 1, 1, 4)][0] is x
-    # A bundle with no scripted steps raises on any velocity call.
-    again, replay, replay_flops = run_scheduled_sampling(
-        scripted([], steps=3), np.zeros((16, 8)), 3, schedule, cache=cache
-    )
-    assert again is x and replay_flops == flops
-    assert (replay.deltas, replay.selected) == (trace.deltas, trace.selected) == ([6.0, 2.0, 1.0], [1, 1, 4])
+class FieldBundle:
+    """Bundle whose velocity is a fixed function of each row, its label
+    and the count, so a row's step never depends on its batch. It
+    records the rows of every call, and raises for the rows of label
+    ``fail_label`` at count ``fail_count``."""
+
+    default_count = 1
+
+    def __init__(self, fail_label=None, fail_count=None):
+        self.attn_cfg = AttentionConfig.square(16, 8, 2)
+        self.fail_label, self.fail_count = fail_label, fail_count
+        self.calls = []
+
+    def velocity(self, x, t, count, labels):
+        self.calls.append((count, len(x)))
+        if count == self.fail_count and self.fail_label in labels:
+            raise NumericError(f"no velocity for label {self.fail_label}")
+        return x * (0.5 + 0.02 * count) + 0.1 * np.asarray(labels, dtype=np.float64)[:, None, None]
+
+    def step_flops(self, count):
+        return mediator_flops(self.attn_cfg, count)
+
+
+LOCKSTEP_SCHEDULES = [
+    None,
+    MediatorSchedule(1, (ScheduleLevel(0.9, 4), ScheduleLevel(0.5, 16))),
+    MediatorSchedule(1, (ScheduleLevel(0.8, 16),), metric="l2"),
+    MediatorSchedule(4, (ScheduleLevel(0.6, 16),)),
+]
+
+
+def lockstep(bundle, steps=5):
+    starts = [np.random.default_rng(s).standard_normal((16, 8)) for s in range(2)]
+    return run_scheduled_sampling(bundle, starts, [0, 1], steps, LOCKSTEP_SCHEDULES), starts
+
+
+def test_lockstep_runs_equal_their_single_runs_and_share_steps():
+    bundle = FieldBundle()
+    grid, starts = lockstep(bundle)
+    assert len(grid) == len(LOCKSTEP_SCHEDULES) and all(len(row) == 2 for row in grid)
+    nodes = set()
+    for schedule, row in zip(LOCKSTEP_SCHEDULES, grid):
+        for s, run in enumerate(row):
+            x, trace, flops = run.result()
+            alone_x, alone_trace, alone_flops = run_one_start(starts[s], s, schedule)
+            assert np.array_equal(x, alone_x)
+            assert not x.flags.writeable
+            assert (trace, flops) == (alone_trace, alone_flops)
+            nodes |= {(s, tuple(trace.selected[:k])) for k in range(1, 6)}
+    assert len(set(tuple(run.trace.selected) for row in grid for run in row)) > 2
+    # One row per distinct (start, counts so far) node, whatever the metric;
+    # each step makes one call per count, of at most MAX_BATCH rows.
+    assert sum(rows for _, rows in bundle.calls) == len(nodes) < 5 * 2 * len(LOCKSTEP_SCHEDULES)
+    assert max(rows for _, rows in bundle.calls) <= MAX_BATCH
+
+
+def run_one_start(x_init, label, schedule):
+    ((run,),) = run_scheduled_sampling(FieldBundle(), [x_init], [label], 5, [schedule])
+    return run.result()
+
+
+def test_a_failing_row_stops_only_the_runs_through_it():
+    clean, _ = lockstep(FieldBundle())
+    broken, _ = lockstep(FieldBundle(fail_label=1, fail_count=4))
+    failed = 0
+    for clean_row, broken_row in zip(clean, broken):
+        for s, (good, run) in enumerate(zip(clean_row, broken_row)):
+            if s == 1 and 4 in good.trace.selected:
+                failed += 1
+                assert isinstance(run.error, NumericError)
+                assert str(run.error) == "no velocity for label 1"
+                with pytest.raises(NumericError):
+                    run.result()
+            else:
+                assert run.error is None
+                assert np.array_equal(run.latent, good.latent)
+                assert (run.trace, run.flops) == (good.trace, good.flops)
+    assert failed == 2
+
+
+def test_a_diverging_row_fails_alone():
+    class Diverging(FieldBundle):
+        def velocity(self, x, t, count, labels):
+            v = super().velocity(x, t, count, labels)
+            v[np.asarray(labels) == 1] = np.inf
+            return v
+
+    grid, _ = lockstep(Diverging(), steps=2)
+    for row in grid:
+        assert row[0].error is None
+        assert isinstance(row[1].error, NumericError)
+        assert str(row[1].error) == "sampling diverged at step 0"
+
+
+def test_lockstep_needs_one_label_per_start():
+    with pytest.raises(DimensionError):
+        run_scheduled_sampling(FieldBundle(), [np.zeros((16, 8))] * 2, [0], 2)
 
 
 def test_latent_trace_defaults():

@@ -29,6 +29,7 @@ from mtat.tensor import (
     sub,
     sum_all,
     transpose,
+    _row_dot,
 )
 
 
@@ -514,6 +515,19 @@ def test_layer_norm_matches_the_mean_formula():
         want = norm * gain + bias
         assert np.max(np.abs(out.data - want)) <= 1e-12 * np.max(np.abs(want))
         assert np.max(np.abs(xt.grad - want_gx)) <= 1e-12 * np.max(np.abs(want_gx))
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3])
+def test_row_sums_do_not_depend_on_how_many_matrices_are_stacked(rows):
+    # A batched forward stacks samples; each sample's row sums must keep
+    # the bits of its own call, whatever the stack height.
+    rng = np.random.default_rng(31 + rows)
+    stack = rng.standard_normal((9, 2, rows, 16))
+    alone = np.stack([_row_dot(matrix, 0.25) for matrix in stack.reshape(18, rows, 16)])
+    for height in range(1, 10):
+        got = _row_dot(stack[:height], 0.25)
+        assert got.shape == (height, 2, rows, 1)
+        assert np.array_equal(got.reshape(-1, rows, 1), alone[: 2 * height])
 
 
 # ---------------------------------------------------------------------------
