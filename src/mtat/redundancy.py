@@ -102,7 +102,7 @@ class _JsdScratch:
     (p + q) / 2. A zero entry contributes tiny * log(tiny) ~ -1.6e-305
     instead of 0, which rounding absorbs into any non-zero row sum.
     ``log`` is scratch for the one log per element; ``sums`` holds the
-    per-row entropies.
+    per-row entropies, each one fused row dot of x with log x.
     """
 
     def __init__(self, rows, width):
@@ -114,12 +114,13 @@ class _JsdScratch:
     def _entropy(self, x):
         # -sum x log x per row, into self.sums. Every entropy goes through
         # this op sequence, so equal rows get equal bits and an identical
-        # pair scores exactly 0.
+        # pair scores exactly 0. The stacked (1, n) @ (n, 1) matmul runs
+        # one BLAS dot per row, so a row's bits do not depend on the
+        # block around it; np.vecdot would need numpy 2.
         k = x.shape[0]
         log, out = self.log[:k], self.sums[:k]
         np.log(x, out=log)
-        np.multiply(log, x, out=log)
-        np.sum(log, axis=1, out=out)
+        np.matmul(x[:, None, :], log[:, :, None], out=out[:, None, None])
         return np.negative(out, out=out)
 
     def load(self, head):
@@ -183,7 +184,8 @@ def redundancy_score(maps, pair_cap=None, seed=0):
     Averages the Jensen-Shannon divergence over all heads and all
     unordered row pairs; with ``pair_cap`` set below the pair count, a
     seeded uniform sample of pairs estimates the same average (a cap at
-    or above the pair count runs the exact path).
+    or above the pair count runs the exact path). A ``pair_cap`` that is
+    not None or a positive integer is a DomainError.
     """
     arrays = _head_maps(maps)
     rows = arrays[0].shape[0]
@@ -194,10 +196,13 @@ def redundancy_score(maps, pair_cap=None, seed=0):
             raise DimensionError("attention heads disagree on key count")
     if rows < 2:
         raise DomainError(f"need at least two rows to compare, got {rows}")
+    if pair_cap is not None:
+        integer = isinstance(pair_cap, (int, np.integer)) and not isinstance(pair_cap, bool)
+        if not integer or pair_cap < 1:
+            raise DomainError(f"pair_cap must be null or a positive integer, got {pair_cap!r}")
+        pair_cap = int(pair_cap)
     total_pairs = rows * (rows - 1) // 2
-    use_sampling = pair_cap is not None and int(pair_cap) < total_pairs
-    if pair_cap is not None and int(pair_cap) < 1:
-        raise DomainError(f"pair_cap must be positive, got {pair_cap}")
+    use_sampling = pair_cap is not None and pair_cap < total_pairs
 
     # Both paths score at most rows - 1 pairs at a time in one scratch.
     scratch = _JsdScratch(rows, arrays[0].shape[1])
@@ -207,14 +212,15 @@ def redundancy_score(maps, pair_cap=None, seed=0):
         entropies = scratch.load(head)
         head_sum = 0.0
         if not use_sampling:
-            for i in range(rows - 1):
-                k = rows - 1 - i
-                np.add(half[i + 1 :], half[i], out=mix[:k])
-                head_sum += float(np.sum(scratch.mixture_jsd(k, entropies[i], entropies[i + 1 :])))
+            # Block d pairs row i with row i + d: one same-shape add.
+            for d in range(1, rows):
+                k = rows - d
+                np.add(half[:k], half[d:], out=mix[:k])
+                head_sum += float(np.sum(scratch.mixture_jsd(k, entropies[:k], entropies[d:])))
             score += head_sum
         else:
             rng = stream_rng(seed, "redundancy-pairs", head_index)
-            chosen = np.sort(rng.choice(total_pairs, size=int(pair_cap), replace=False))
+            chosen = np.sort(rng.choice(total_pairs, size=pair_cap, replace=False))
             first, second = _pairs_from_linear(chosen, rows)
             for lo in range(0, first.size, rows - 1):
                 a, b = first[lo : lo + rows - 1], second[lo : lo + rows - 1]
@@ -225,7 +231,7 @@ def redundancy_score(maps, pair_cap=None, seed=0):
                 np.take(half, b, axis=0, out=scratch.log[:k], mode="clip")
                 np.add(mix[:k], scratch.log[:k], out=mix[:k])
                 head_sum += float(np.sum(scratch.mixture_jsd(k, entropies[a], entropies[b])))
-            score += head_sum * (total_pairs / int(pair_cap))
+            score += head_sum * (total_pairs / pair_cap)
     heads = len(arrays)
     return 2.0 * score / (heads * rows * (rows - 1))
 

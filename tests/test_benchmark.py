@@ -4,7 +4,9 @@
 the map stacks and the MAC labels; its traced run patches
 ``ToyDiffusionModel.forward``, ``ModelBundle.velocity``,
 ``SgdState.apply`` and the scheduler's thread pool. These short runs fail
-when any of them changes shape or name.
+when any of them changes shape or name. The ``redundancy`` run also holds
+``redundancy_score`` to the benchmark's own pairwise-JSD oracle at 1e-15
+on the real vanilla and composed N=256 maps.
 """
 
 import json
@@ -29,6 +31,10 @@ def run_workload(workload, trace):
 
 def test_attention_workload_runs_correct():
     run_workload("attention", trace=0)
+
+
+def test_redundancy_workload_runs_correct():
+    run_workload("redundancy", trace=0)
 
 
 def test_traced_sweep_workload_runs_correct():

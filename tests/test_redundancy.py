@@ -2,11 +2,16 @@
 
 import itertools
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mtat
 from mtat.attention import AttentionMaps, composed_attention_map
 from mtat.diffusion import ModelBundle, ToyDiffusionModel, ToyModelConfig, capture_redundancy
 from mtat.errors import DimensionError, DomainError, NumericError, UsageError
@@ -125,9 +130,55 @@ def test_js_finite_even_with_zeros():
 
 
 def test_score_zero_for_identical_rows():
-    row = np.array([0.2, 0.3, 0.5])
-    head = np.tile(row, (4, 1))
-    assert redundancy_score([head]) <= 1e-15
+    # Every row's entropy and every pair mixture's goes through one row
+    # dot whose bits do not depend on the block, so the score is exact.
+    wide = np.exp(np.random.default_rng(85).standard_normal(256))
+    for row, rows in ((np.array([0.2, 0.3, 0.5]), 4), (wide / wide.sum(), 256)):
+        assert redundancy_score([np.tile(row, (rows, 1))]) == 0.0
+
+
+def test_score_does_not_depend_on_the_row_order():
+    # Every unordered pair lands in exactly one diagonal block, so a row
+    # permutation only regroups the same pair divergences.
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        head = softmax_heads(rng, 1, 64, 64, scale=2.0)[0]
+        permuted = head[rng.permutation(64)]
+        assert abs(redundancy_score([head]) - redundancy_score([permuted])) <= 1e-15
+
+
+ROW_DOT_PROBE = """
+import numpy as np
+from mtat.redundancy import _JsdScratch
+
+rng = np.random.default_rng(86)
+x = np.exp(2.0 * rng.standard_normal((256, 256)))
+x /= x.sum(axis=1, keepdims=True)
+scratch = _JsdScratch(256, 256)
+alone = np.array([scratch._entropy(x[i : i + 1])[0] for i in range(256)])
+for k in range(1, 256):
+    for lo in (0, 256 - k, int(rng.integers(0, 257 - k))):
+        assert np.array_equal(scratch._entropy(x[lo : lo + k]), alone[lo : lo + k]), (k, lo)
+print("ok")
+"""
+
+
+@pytest.mark.parametrize("threads", [None, "1"], ids=["openblas-default", "openblas-1"])
+def test_row_entropy_does_not_depend_on_its_block(threads):
+    # The exact path reduces blocks of 1..N-1 rows at offsets 0 and d; a
+    # row must keep the bits of its own one-row reduction in every one.
+    # OpenBLAS reads its thread count at load, hence the child process.
+    env = dict(os.environ)
+    package_root = str(Path(mtat.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = threads
+    done = subprocess.run(
+        [sys.executable, "-c", ROW_DOT_PROBE], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "ok"
 
 
 def test_score_ln2_for_disjoint_pair():
@@ -244,17 +295,17 @@ def test_score_accepts_list_maps_within_the_distribution_tolerance():
 
 def _masked_entropy(x):
     # -sum x log x per row with 0 log 0 = 0, through a bool mask and a
-    # zero-filled log.
+    # zero-filled log, then one row dot per row as the kernel reduces.
     log = np.zeros_like(x)
     np.log(x, out=log, where=x > 0.0)
-    np.multiply(log, x, out=log)
-    return np.negative(np.sum(log, axis=1))
+    return np.negative(np.matmul(x[:, None, :], log[:, :, None])[:, 0, 0])
 
 
 def masked_redundancy_score(heads, pair_cap=None, seed=0):
     """The entropy-form kernel before clamping: masked logs of the raw
-    rows, pair sums halved per pair. Kept as the reference that the
-    clamped kernel must reproduce bit for bit on zero-free maps."""
+    rows, pair sums halved per pair, exact pairs in diagonal blocks
+    (i, i + d). Kept as the reference that the clamped kernel must
+    reproduce bit for bit on zero-free maps."""
     rows = heads[0].shape[0]
     total_pairs = rows * (rows - 1) // 2
     score = 0.0
@@ -263,7 +314,7 @@ def masked_redundancy_score(heads, pair_cap=None, seed=0):
         entropies = _masked_entropy(head)
         head_sum = 0.0
         if pair_cap is None or pair_cap >= total_pairs:
-            blocks = [(np.full(rows - 1 - i, i), np.arange(i + 1, rows)) for i in range(rows - 1)]
+            blocks = [(np.arange(rows - d), np.arange(d, rows)) for d in range(1, rows)]
             scale = 1.0
         else:
             rng = stream_rng(seed, "redundancy-pairs", head_index)
@@ -396,6 +447,7 @@ def test_subsample_is_deterministic_and_unbiased_on_constant_maps():
     a = redundancy_score([head], pair_cap=10, seed=5)
     b = redundancy_score([head], pair_cap=10, seed=5)
     assert a == b
+    assert redundancy_score([head], pair_cap=np.int64(10), seed=5) == a
     c = redundancy_score([head], pair_cap=10, seed=6)
     assert c != a  # different pair sample, almost surely
 
@@ -436,6 +488,13 @@ def test_subsample_bad_cap():
     head = np.array([[1.0, 0.0], [0.0, 1.0]])
     with pytest.raises(DomainError):
         redundancy_score([head], pair_cap=0)
+
+
+@pytest.mark.parametrize("cap", [2.5, True, "3"], ids=["float", "bool", "str"])
+def test_subsample_rejects_a_cap_that_is_not_an_integer(cap):
+    head = np.full((8, 8), 0.125)
+    with pytest.raises(DomainError, match="must be null or a positive integer"):
+        redundancy_score([head], pair_cap=cap)
 
 
 # ---------------------------------------------------------------------------
