@@ -238,6 +238,8 @@ def _check_attention_shapes(config, command):
     for count in flops["counts"]:
         MediatorConfig.from_count(count, flops_cfg)
     bench = config["bench"]
+    if not bench["sizes"]:
+        raise ConfigError("bench.sizes must name at least one size")
     for n_tokens in bench["sizes"]:
         bench_cfg = AttentionConfig.square(n_tokens, bench["channels"], bench["heads"])
         MediatorConfig.from_count(bench["mediators"], bench_cfg)

@@ -560,10 +560,9 @@ def capture_redundancy(model, labels, steps, seed, schedule=None, pair_cap=None)
         run_scheduled_sampling(bundle, [noise], [label], steps, [schedule])[0][0].result()
         for t, step_maps in enumerate(bundle.step_maps):
             for layer, maps in enumerate(step_maps):
-                if maps.kind == "mediated":
-                    maps = composed_attention_map(maps)
+                heads = maps.heads if maps.kind == "full" else composed_attention_map(maps)
                 scored = time.perf_counter()
-                scores[layer, t] += redundancy_score(maps, pair_cap=pair_cap, seed=seed)
+                scores[layer, t] += redundancy_score(heads, pair_cap=pair_cap, seed=seed)
                 seconds[layer, t] += time.perf_counter() - scored
     scores /= len(labels)
     score_s = float(seconds.sum())

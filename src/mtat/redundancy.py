@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .attention import AttentionMaps
 from .errors import DimensionError, DomainError, NumericError, UsageError
 from .util import stream_rng
 
@@ -158,12 +157,6 @@ def _pairs_from_linear(linear, n):
 
 
 def _head_maps(maps):
-    if isinstance(maps, AttentionMaps):
-        if maps.kind != "full":
-            raise UsageError(
-                "redundancy needs full maps; compose mediated maps before scoring"
-            )
-        return maps.heads
     arrays = [np.asarray(m, dtype=np.float64) for m in maps]
     if not arrays:
         raise UsageError("redundancy_score got an empty map list")
@@ -177,10 +170,10 @@ def _head_maps(maps):
 def redundancy_score(maps, pair_cap=None, seed=0):
     """Mean pairwise row divergence of a layer's attention maps.
 
-    ``maps`` is a full AttentionMaps capture, or a list or (heads, rows,
-    cols) stack of per-head row-stochastic matrices; such a map with a
-    non-finite or negative entry, or a row sum off 1 by more than 1e-6,
-    is a NumericError.
+    ``maps`` is a list or (heads, rows, cols) stack of per-head
+    row-stochastic matrices (a mediated capture is composed first); a
+    map with a non-finite or negative entry, or a row sum off 1 by more
+    than 1e-6, is a NumericError.
     Averages the Jensen-Shannon divergence over all heads and all
     unordered row pairs; with ``pair_cap`` set below the pair count, a
     seeded uniform sample of pairs estimates the same average (a cap at

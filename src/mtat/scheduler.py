@@ -1,11 +1,11 @@
 """Step-wise mediator-count scheduling for iterative samplers.
 
-Early denoising steps move the latent a lot and deserve more mediators;
-late steps barely move it. The schedule watches the per-step latent
-displacement relative to the first step's and advances through capacity
-levels as the displacement decays below configured fractions. Advancing
-is latched by default: trajectories are treated as settling, so a noisy
-uptick never drops capacity back down.
+Early denoising steps move the latent most and set only coarse layout,
+so their query-key interactions are the most redundant: few mediators
+serve them. The schedule starts at its smallest count and advances to
+larger ones as the per-step displacement, relative to the first step's,
+decays below configured fractions. Counts never shrink, and advancing
+is latched by default, so a noisy uptick never drops capacity back down.
 
 Also hosts the sweep machinery for exploring threshold grids and the
 Pareto envelope over (cost, quality) points.
@@ -25,7 +25,6 @@ from .errors import (
     DomainError,
     NumericError,
 )
-from .tensor import Tensor
 
 METRICS = ("l1", "l2")
 # At most this many latents go through one model call of the sampler. On
@@ -35,14 +34,14 @@ MAX_BATCH = 4
 
 
 def latent_distance(a, b, metric="l1"):
-    """Per-element displacement between two latents.
+    """Per-element displacement between two latent arrays.
 
     "l1" is the mean absolute difference, "l2" the root mean square
     difference. Both are invariant to latent size, and schedule
     decisions compare ratios, so the overall scale cancels anyway.
     """
-    ad = a.data if isinstance(a, Tensor) else np.asarray(a, dtype=np.float64)
-    bd = b.data if isinstance(b, Tensor) else np.asarray(b, dtype=np.float64)
+    ad = np.asarray(a, dtype=np.float64)
+    bd = np.asarray(b, dtype=np.float64)
     if ad.shape != bd.shape:
         raise DimensionError(f"latent shapes differ: {ad.shape} vs {bd.shape}")
     diff = ad - bd
@@ -364,9 +363,10 @@ def threshold_grid(rho_values=None, counts=(4, 16, 64), metrics=("l1",), two_lev
     For each metric: every (rho0, rho1) pair with rho1 <= rho0 builds a
     three-level schedule over ``counts``; then, when ``two_level`` is
     set, each rho0 alone builds a two-level schedule over the first two
-    counts. Requires three counts for the pair block. A pair with
-    rho1 == rho0 means the middle level is unreachable, so it collapses
-    to a single level that jumps straight to the largest count.
+    counts. Requires three counts for the pair block. A pair with rho1 ==
+    rho0 means the middle level is unreachable, so it collapses to a
+    single level that jumps straight to the largest count. A grid with
+    no point is a ConfigError.
     """
     values = tuple(rho_values) if rho_values is not None else default_rho_values()
     counts = tuple(int(c) for c in counts)
@@ -398,6 +398,8 @@ def threshold_grid(rho_values=None, counts=(4, 16, 64), metrics=("l1",), two_lev
                     metric=metric,
                 )
                 points.append(SweepPoint(len(points), rho0, None, metric, schedule))
+    if not points:
+        raise ConfigError("sweep grid is empty: it needs a rho, a metric, and 3 counts or two_level")
     return points
 
 

@@ -26,7 +26,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DimensionError, NumericError, UsageError
 
-# Per-thread so concurrent sweep workers cannot race each other's flag.
+# Per-thread, for sweep_thresholds(..., workers>1): each pool worker keeps its own.
 _grad_state = threading.local()
 
 
@@ -151,37 +151,6 @@ class Tensor:
     def __repr__(self):
         flags = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}{flags})"
-
-    # Operator sugar; the module-level functions carry the contracts.
-    def __add__(self, other):
-        if isinstance(other, (int, float)):
-            return shift(self, other)
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, (int, float)):
-            return shift(self, -other)
-        return sub(self, other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, other)
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if not isinstance(other, (int, float)):
-            raise UsageError("tensor division only supports scalar divisors")
-        return scale(self, 1.0 / other)
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 def _make(data, op, parents, vjp):
@@ -318,12 +287,6 @@ def scale(x, factor):
     x = _as_tensor(x, "scale")
     factor = float(factor)
     return _make(x.data * factor, "scale", (x,), lambda g: (g * factor,))
-
-
-def shift(x, offset):
-    x = _as_tensor(x, "shift")
-    offset = float(offset)
-    return _make(x.data + offset, "shift", (x,), lambda g: (g,))
 
 
 def reshape(x, shape):

@@ -345,9 +345,15 @@ def test_sweep_rejects_a_zero_sample_or_step_count_before_any_point_runs(tmp_pat
         assert not (out / name).exists()
 
 
+EMPTY_GRID = "sweep grid is empty: it needs a rho, a metric, and 3 counts or two_level"
+
+
 @pytest.mark.parametrize("sweep, message", [
     ({"counts": [4]}, "threshold_grid needs at least two mediator counts"),
     ({"metrics": ["l3"]}, "metric must be one of ('l1', 'l2'), got 'l3'"),
+    ({"metrics": []}, EMPTY_GRID),
+    ({"rho_values": []}, EMPTY_GRID),
+    ({"counts": [4, 16], "two_level": False}, EMPTY_GRID),
 ])
 def test_sweep_rejects_a_grid_it_cannot_build_before_writing_anything(tmp_path, capsys, sweep, message):
     path = tmp_path / "config.json"
@@ -700,12 +706,13 @@ def test_ill_typed_config_exits_2_before_writing(tmp_path, capsys, command, conf
          "no 100-token mediator grid fits inside 8x8"),
         ("train", {"model": {"default_mediators": 100}}, [],
          "no 100-token mediator grid fits inside 8x8"),
+        ("bench", {"bench": {"sizes": []}}, [], "bench.sizes must name at least one size"),
     ],
     ids=["negative-train-steps", "negative-samples", "zero-redundancy-samples", "zero-batch",
          "zero-reference-size", "negative-flops-layers", "one-extent-flops-grid",
          "three-extent-flops-grid", "zero-bench-size", "zero-bench-heads",
          "non-square-bench-size", "zero-flops-count", "out-of-grid-sweep-count",
-         "out-of-grid-schedule-count", "out-of-grid-default-count"],
+         "out-of-grid-schedule-count", "out-of-grid-default-count", "no-bench-sizes"],
 )
 def test_out_of_range_config_exits_2_before_writing(tmp_path, capsys, command, config, flags, message):
     path = tmp_path / "config.json"

@@ -28,7 +28,7 @@ from mtat.diffusion import (
 from mtat.errors import ConfigError, DimensionError, DomainError, NumericError, UsageError
 from mtat.redundancy import redundancy_score
 from mtat.scheduler import MediatorSchedule, ScheduleLevel, run_scheduled_sampling
-from mtat.tensor import MacCounter, Tensor, backward, mean_all, no_grad
+from mtat.tensor import MacCounter, Tensor, add, backward, mean_all, mul, no_grad, scale, sub
 from mtat.attention import FlopsReport
 from mtat.util import stream_rng
 
@@ -390,10 +390,10 @@ def test_batch_loss_and_gradients_equal_the_per_sample_mean():
     for image, label, t, eps in zip(images, labels, times, noises):
         x_t, v_target = interpolate(image, eps, t)
         pred, _ = model.forward(tokens_from_image(x_t, cfg), float(t), int(label))
-        diff = pred - Tensor(tokens_from_image(v_target, cfg))
-        err = mean_all(diff * diff)
-        total = err if total is None else total + err
-    reference = total * (1.0 / len(images))
+        diff = sub(pred, Tensor(tokens_from_image(v_target, cfg)))
+        err = mean_all(mul(diff, diff))
+        total = err if total is None else add(total, err)
+    reference = scale(total, 1.0 / len(images))
     want = {name: grad.copy() for name, grad in zip(model.params, _grads(model, reference))}
 
     loss = batch_loss(model, images, labels, times, noises)
@@ -673,7 +673,7 @@ def test_capture_matches_direct_scores():
     x0 = rng.standard_normal((16, 1))
     bundle = ModelBundle(model, capture=True)
     run_scheduled_sampling(bundle, [x0], [0], 2)
-    assert trace.scores[0, 0] == redundancy_score(bundle.step_maps[0][0])
+    assert trace.scores[0, 0] == redundancy_score(bundle.step_maps[0][0].heads)
     assert trace.scores[1, 1] == redundancy_score(
         composed_attention_map(bundle.step_maps[1][1])
     )

@@ -1,0 +1,39 @@
+"""Module boundaries: the score and the scheduler take plain arrays, so
+neither reads the tape, and the score does not read attention captures."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "mtat"
+
+
+def imported_modules(name):
+    """Absolute names of the modules that ``mtat.<name>`` imports,
+    relative imports resolved against the package."""
+    tree = ast.parse((PACKAGE / f"{name}.py").read_text(encoding="utf-8"))
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = "mtat" if node.level else ""
+            module = ".".join(part for part in (base, node.module or "") if part)
+            found.add(module)
+            # "from . import tensor" names the module in the alias.
+            found.update(f"{module}.{alias.name}" for alias in node.names)
+    return found
+
+
+def test_import_reader_resolves_relative_imports():
+    modules = imported_modules("diffusion")
+    assert {"mtat.tensor", "mtat.attention", "mtat.redundancy", "numpy"} <= modules
+
+
+@pytest.mark.parametrize(
+    "name, forbidden",
+    [("redundancy", {"mtat.tensor", "mtat.attention"}), ("scheduler", {"mtat.tensor"})],
+)
+def test_array_layers_do_not_import_the_tape_or_the_capture_type(name, forbidden):
+    assert imported_modules(name) & forbidden == set()

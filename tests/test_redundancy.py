@@ -402,14 +402,7 @@ def test_score_matches_the_kl_form_oracle_at_256_rows():
 def test_score_accepts_attention_maps_capture():
     head = np.array([[1.0, 0.0], [0.0, 1.0]])
     maps = AttentionMaps.full([head, head.copy()])
-    assert abs(redundancy_score(maps) - LN2) <= 1e-12
-
-
-def test_score_requires_composed_maps():
-    a_qt = np.array([[1.0], [1.0]])
-    a_tk = np.array([[0.5, 0.5]])
-    with pytest.raises(UsageError):
-        redundancy_score(AttentionMaps.mediated([a_qt], [a_tk]))
+    assert abs(redundancy_score(maps.heads) - LN2) <= 1e-12
 
 
 def test_score_single_row_is_domain_error():
@@ -522,7 +515,7 @@ def direct_scores(model, label, sample_index, steps, seed):
     bundle = ModelBundle(model, capture=True)
     run_scheduled_sampling(bundle, [noise], [label], steps)
     return np.array([
-        [redundancy_score(composed_attention_map(m) if m.kind == "mediated" else m) for m in layers]
+        [redundancy_score(composed_attention_map(m) if m.kind == "mediated" else m.heads) for m in layers]
         for layers in bundle.step_maps
     ]).T
 

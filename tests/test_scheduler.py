@@ -24,7 +24,6 @@ from mtat.scheduler import (
     sweep_thresholds,
     threshold_grid,
 )
-from mtat.tensor import Tensor
 
 
 def walk(schedule, deltas, delta0):
@@ -42,7 +41,7 @@ def walk(schedule, deltas, delta0):
 
 
 def test_distance_zero_for_equal_inputs():
-    x = Tensor(np.arange(6.0).reshape(2, 3))
+    x = np.arange(6.0).reshape(2, 3)
     assert latent_distance(x, x, "l1") == 0.0
     assert latent_distance(x, x, "l2") == 0.0
 

@@ -24,7 +24,6 @@ from mtat.tensor import (
     no_grad,
     reshape,
     scale,
-    shift,
     softmax_rows,
     sub,
     sum_all,
@@ -350,7 +349,6 @@ def test_grad_elementwise_and_shape_ops():
     gradcheck(weighted_loss(lambda t: sub(other, t), w34), x)
     gradcheck(weighted_loss(lambda t: mul(t, other), w34), x)
     gradcheck(weighted_loss(lambda t: scale(t, -1.7), w34), x)
-    gradcheck(weighted_loss(lambda t: shift(t, 0.3), w34), x)
     gradcheck(weighted_loss(lambda t: reshape(t, (4, 3)), w43), x)
     gradcheck(weighted_loss(lambda t: transpose(t), w43), x)
     gradcheck(lambda t: sum_all(t), x)
