@@ -25,7 +25,6 @@ from .attention import (
 from .diffusion import (
     FidReference,
     ModelBundle,
-    SampleResult,
     SgdConfig,
     SgdState,
     SynthData,

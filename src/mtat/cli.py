@@ -37,6 +37,7 @@ from .diffusion import (
     euler_samples,
     fid_proxy,
     grid_extents,
+    image_from_tokens,
     synth_dataset,
     train_step,
 )
@@ -57,7 +58,7 @@ from .scheduler import (
 )
 from .serialize import load_checkpoint, save_checkpoint, save_tensor
 from .tensor import MacCounter, Tensor, no_grad
-from .util import child_seed, stream_rng, write_text_atomic
+from .util import check_json, child_seed, json_type, stream_rng, write_text_atomic
 
 _META_KEYS = ("command", "invocation")
 # `mtat bench` reports the median wall time of this many calls per
@@ -114,41 +115,16 @@ _COUNT_FLOORS = {
 }
 
 
-_JSON_TYPES = (
-    (bool, "a boolean"), (int, "an integer"), (float, "a number"),
-    (str, "a string"), (list, "a list"), (dict, "an object"),
-)
-
-
-def _json_type(value):
-    return next((name for kind, name in _JSON_TYPES if isinstance(value, kind)), None)
-
-
-def _check_type(default, value, key):
-    """An override must have its default's JSON type: an integer passes for
-    a number, a list's items follow the default's first item, and a null
-    default leaves the value to ``_resolve``'s own checks."""
-    want, got = _json_type(default), _json_type(value)
-    if want is None:
-        return
-    if got != want and (want, got) != ("a number", "an integer"):
-        raise ConfigError(f"config key {key} must be {want}, got {value!r}")
-    if want == "a list":
-        for i, item in enumerate(value):
-            _check_type(default[0], item, f"{key}[{i}]")
-
-
-def _merge(base, override, path=""):
+def _merge(base, override):
+    """``override`` over ``base``, section by section, after ``check_json``
+    holds it to the defaults' keys and JSON types."""
     for key, value in override.items():
-        if path == "" and key in _META_KEYS:
+        if key in _META_KEYS:
             continue
         if key not in base:
-            raise ConfigError(f"unknown config key {path}{key}")
-        _check_type(base[key], value, f"{path}{key}")
-        if isinstance(base[key], dict):
-            _merge(base[key], value, f"{path}{key}.")
-        else:
-            base[key] = value
+            raise ConfigError(f"unknown config key {key}")
+        check_json(base[key], value, f"config key {key}")
+        base[key] = {**base[key], **value} if isinstance(base[key], dict) else value
     return base
 
 
@@ -199,7 +175,7 @@ def _resolve(args):
             if value < floor:
                 raise ConfigError(f"{section}.{key} must be at least {floor}, got {value}")
     pair_cap = config["redundancy"]["pair_cap"]
-    if pair_cap is not None and (_json_type(pair_cap) != "an integer" or pair_cap < 1):
+    if pair_cap is not None and (json_type(pair_cap) != "an integer" or pair_cap < 1):
         raise ConfigError(
             f"redundancy.pair_cap must be null or a positive integer, got {pair_cap!r}"
         )
@@ -322,20 +298,19 @@ def cmd_sample(args, config, out):
     steps, samples = config["sampler"]["steps"], config["sampler"]["samples"]
 
     labels = [i % model.cfg.classes for i in range(samples)]
-    (results,) = euler_samples(model, labels, steps, seed, [schedule])
+    (runs,) = euler_samples(model, labels, steps, seed, [schedule])
     per_sample = []
     total = FlopsReport()
-    for i, (label, result) in enumerate(zip(labels, results)):
-        if isinstance(result, Exception):
-            raise result
-        save_tensor(os.path.join(out, f"sample_{i:03d}.mtat"), Tensor(result.image))
-        write_text_atomic(os.path.join(out, f"trace_{i:03d}.csv"), result.trace.to_csv())
-        per_sample.append(result.flops.to_json_dict())
-        total = total + result.flops
-        counts = result.trace.selected
+    for i, (label, run) in enumerate(zip(labels, runs)):
+        latent, trace, flops = run.result()
+        image = image_from_tokens(latent, model.cfg)
+        save_tensor(os.path.join(out, f"sample_{i:03d}.mtat"), Tensor(image))
+        write_text_atomic(os.path.join(out, f"trace_{i:03d}.csv"), trace.to_csv())
+        per_sample.append(flops.to_json_dict())
+        total = total + flops
         print(
-            f"sample {i}: label {label}, counts {counts[0]}->{counts[-1]}, "
-            f"{result.flops.total_flops / 1e9:.6f} GFLOPs"
+            f"sample {i}: label {label}, counts {trace.selected[0]}->{trace.selected[-1]}, "
+            f"{flops.total_flops / 1e9:.6f} GFLOPs"
         )
     payload = {
         "samples": per_sample,
@@ -383,8 +358,8 @@ def cmd_sweep(args, config, out):
     # Every point draws sample s from the same noise, so points differ only
     # in schedule; one lockstep run samples them all, and points whose
     # counts agree so far share those steps. Points whose counts agree
-    # throughout produce the same images; fid_proxy is a deterministic
-    # function of them, so each distinct image stack is scored once.
+    # throughout produce the same latents; fid_proxy is a deterministic
+    # function of them, so each distinct latent stack is scored once.
     labels = [s % model.cfg.classes for s in range(per_point_samples)]
     sampled = euler_samples(
         model, labels, steps, child_seed(seed, "sweep"), [point.schedule for point in points]
@@ -393,16 +368,15 @@ def cmd_sweep(args, config, out):
     first_deltas = set()
 
     def evaluate(point):
-        images = []
+        latents = []
         flops_total = 0
-        for result in sampled[point.index]:
-            if isinstance(result, Exception):
-                raise result
-            images.append(result.image)
-            flops_total += result.flops.total_flops
-            first_deltas.add(result.trace.delta0)
+        for run in sampled[point.index]:
+            latent, trace, flops = run.result()
+            latents.append(latent)
+            flops_total += flops.total_flops
+            first_deltas.add(trace.delta0)
         cost = (flops_total / per_point_samples) / 1e9
-        stack = np.stack(images)
+        stack = np.stack(latents)
         key = stack.tobytes()
         if key not in qualities:
             qualities[key] = fid_proxy(stack, reference, seed=seed)

@@ -488,13 +488,6 @@ class ModelBundle:
         return self.model.step_flops(count)
 
 
-@dataclass
-class SampleResult:
-    image: np.ndarray
-    trace: object
-    flops: FlopsReport
-
-
 def _initial_noise(cfg, seed, sample_index):
     """The t=1 latent that sample ``sample_index`` under ``seed`` starts from."""
     rng = stream_rng(seed, "sampling", int(sample_index))
@@ -506,35 +499,26 @@ def euler_samples(model, labels, steps, seed, schedules=(None,), sample_indices=
     integration from noise, all in one lockstep run.
 
     Sample s has label ``labels[s]`` and starts from the noise of sample
-    index ``sample_indices[s]`` (default s) under ``seed``. Returns one
-    list per schedule of one entry per sample: a SampleResult with the
-    final image on the spatial grid, or the exception that stopped that
-    sample's run.
+    index ``sample_indices[s]`` (default s) under ``seed``. Returns
+    ``run_scheduled_sampling``'s rows: one list per schedule of one
+    Trajectory per sample, whose ``result()`` gives the final (N, C)
+    latent or raises the error that stopped that sample's run.
     """
-    cfg = model.cfg
     indices = range(len(labels)) if sample_indices is None else sample_indices
-    starts = [_initial_noise(cfg, seed, i) for i in indices]
-    runs = run_scheduled_sampling(ModelBundle(model), starts, labels, steps, schedules)
-    return [
-        [
-            run.error or SampleResult(image_from_tokens(run.latent, cfg), run.trace, run.flops)
-            for run in row
-        ]
-        for row in runs
-    ]
+    starts = [_initial_noise(model.cfg, seed, i) for i in indices]
+    return run_scheduled_sampling(ModelBundle(model), starts, labels, steps, schedules)
 
 
 def euler_sample(model, label, steps, seed, schedule=None, sample_index=0):
     """Draw one sample by deterministic Euler integration from noise.
 
     ``sample_index`` separates the noise streams of samples drawn under
-    one seed. Returns a SampleResult with the final image on the spatial
-    grid.
+    one seed. Returns the run's Trajectory; raises its error.
+    ``image_from_tokens`` puts the latent on the spatial grid.
     """
-    ((result,),) = euler_samples(model, [label], steps, seed, [schedule], [sample_index])
-    if isinstance(result, Exception):
-        raise result
-    return result
+    ((run,),) = euler_samples(model, [label], steps, seed, [schedule], [sample_index])
+    run.result()
+    return run
 
 
 def capture_redundancy(model, labels, steps, seed, schedule=None, pair_cap=None):

@@ -25,6 +25,7 @@ from .errors import (
     DomainError,
     NumericError,
 )
+from .util import check_json
 
 METRICS = ("l1", "l2")
 # At most this many latents go through one model call of the sampler. On
@@ -121,18 +122,23 @@ class MediatorSchedule:
 
     @classmethod
     def from_json_dict(cls, payload):
+        """Read a schedule by the config's rules: a missing key, or a key or
+        JSON type that ``_SCHEDULE_SHAPE`` lacks, is a ConfigError."""
+        check_json(_SCHEDULE_SHAPE, payload, "schedule")
+        levels = payload.get("levels", [])
         try:
-            start = int(payload["n1"])
-            levels = tuple(
-                ScheduleLevel(float(lv["rho"]), int(lv["n"])) for lv in payload.get("levels", [])
-            )
-            metric = str(payload.get("metric", "l1"))
-            latching = payload.get("latching", True)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"malformed schedule: {exc}") from exc
+            start = payload["n1"]
+            levels = tuple(ScheduleLevel(float(lv["rho"]), lv["n"]) for lv in levels)
+        except KeyError as exc:
+            raise ConfigError(f"malformed schedule: missing key {exc}") from exc
+        latching = payload.get("latching", True)
         if not isinstance(latching, bool):
             raise ConfigError(f"schedule latching must be true or false, got {latching!r}")
-        return cls(start_count=start, levels=levels, metric=metric, latching=latching)
+        return cls(start, levels, payload.get("metric", "l1"), latching)
+
+
+# Each schedule key's JSON type; latching is null here, having its own check.
+_SCHEDULE_SHAPE = {"n1": 1, "levels": [{"rho": 0.0, "n": 1}], "metric": "l1", "latching": None}
 
 
 def select_mediator_count(delta_t, delta0, level, schedule):

@@ -1,10 +1,12 @@
-"""Small shared helpers: named RNG streams and atomic file writes."""
+"""Small shared helpers: named RNG streams, atomic writes, JSON type checks."""
 
 import hashlib
 import os
 import tempfile
 
 import numpy as np
+
+from .errors import ConfigError
 
 
 def stream_rng(seed, *names):
@@ -49,3 +51,33 @@ def write_bytes_atomic(path, blob):
 def child_seed(seed, *names):
     """A derived integer seed for handing to APIs that take one."""
     return int(stream_rng(seed, *names).integers(0, 2**63))
+
+
+_JSON_TYPES = (
+    (bool, "a boolean"), (int, "an integer"), (float, "a number"),
+    (str, "a string"), (list, "a list"), (dict, "an object"),
+)
+
+
+def json_type(value):
+    """The name of a decoded JSON value's type, or None for null."""
+    return next((name for kind, name in _JSON_TYPES if isinstance(value, kind)), None)
+
+
+def check_json(shape, value, name):
+    """Raise ConfigError unless ``value`` has ``shape``'s JSON type. An
+    integer passes for a number, list items follow the shape's first item,
+    objects hold only the shape's keys, and a null shape passes anything."""
+    want, got = json_type(shape), json_type(value)
+    if want is None:
+        return
+    if got != want and (want, got) != ("a number", "an integer"):
+        raise ConfigError(f"{name} must be {want}, got {value!r}")
+    if want == "a list":
+        for i, item in enumerate(value):
+            check_json(shape[0], item, f"{name}[{i}]")
+    elif want == "an object":
+        for key, item in value.items():
+            if key not in shape:
+                raise ConfigError(f"unknown {name}.{key}")
+            check_json(shape[key], item, f"{name}.{key}")

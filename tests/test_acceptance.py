@@ -503,7 +503,7 @@ def test_criterion_09_sweep_grid_and_envelope(capsys):
         from mtat.diffusion import fid_proxy
 
         cost = result.flops.total_flops / 1e9
-        return cost, fid_proxy(result.image[None, ...], reference, seed=0)
+        return cost, fid_proxy(result.latent[None, ...], reference, seed=0)
 
     points = threshold_grid()
     grid_ok = len(points) == 77
@@ -542,8 +542,8 @@ def test_criterion_10_training_and_reproducible_sampling(capsys, trained_micro):
     model = trained_micro["model"]
     first = euler_sample(model, 0, 4, seed=3)
     second = euler_sample(model, 0, 4, seed=3)
-    finite = bool(np.all(np.isfinite(first.image)))
-    identical = np.array_equal(first.image, second.image)
+    finite = bool(np.all(np.isfinite(first.latent)))
+    identical = np.array_equal(first.latent, second.latent)
     elapsed = time.perf_counter() - started + trained_micro["seconds"]
     ok = ratio < 0.5 and finite and identical and elapsed < 300.0
     _report(

@@ -4,9 +4,11 @@
 the map stacks and the MAC labels; its traced run patches
 ``ToyDiffusionModel.forward``, ``ModelBundle.velocity``,
 ``SgdState.apply`` and the scheduler's thread pool. These short runs fail
-when any of them changes shape or name. The ``redundancy`` run also holds
+when any of them changes shape or name; all four workloads run, the
+``sweep`` and ``train`` ones traced. The ``redundancy`` run also holds
 ``redundancy_score`` to the benchmark's own pairwise-JSD oracle at 1e-15
-on the real vanilla and composed N=256 maps.
+on the real vanilla and composed N=256 maps, and the ``train`` run holds
+the batched train step's gradients to central differences.
 """
 
 import json
@@ -39,3 +41,7 @@ def test_redundancy_workload_runs_correct():
 
 def test_traced_sweep_workload_runs_correct():
     run_workload("sweep", trace=1)
+
+
+def test_traced_train_workload_runs_correct():
+    run_workload("train", trace=1)

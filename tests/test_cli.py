@@ -373,6 +373,15 @@ def test_sample_rejects_a_non_boolean_latching_flag(tmp_path, capsys):
     assert not list(out.glob("sample_*"))
 
 
+def test_sample_rejects_a_schedule_key_typo_before_writing_anything(tmp_path, capsys):
+    path = tmp_path / "schedule.json"
+    path.write_text(json.dumps({"n1": 4, "level": [{"rho": 0.9, "n": 16}]}))
+    out = tmp_path / "run"
+    assert main(["sample", "--schedule", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: unknown schedule.level\n"
+    assert not out.exists()
+
+
 def test_sweep_reruns_are_byte_identical(tmp_path, config_path, micro_ckpt):
     out_a, out_b = tmp_path / "a", tmp_path / "b"
     sweep = ["sweep", "--config", config_path, "--ckpt", micro_ckpt, "--out"]
@@ -449,7 +458,7 @@ def trie_run(tmp_path_factory, micro_ckpt):
             for s in range(sweep["samples"])
         ]
         cost = sum(r.flops.total_flops for r in results) / sweep["samples"] / 1e9
-        stack = np.stack([r.image for r in results])
+        stack = np.stack([r.latent for r in results])
         quality = fid_proxy(stack, reference, seed=0)
         traces = tuple(tuple(r.trace.selected) for r in results)
         uncached.append((point, cost, quality, traces))

@@ -581,14 +581,14 @@ def test_single_step_sample_is_noise_minus_velocity():
     x0 = rng.standard_normal((16, 1))
     v, _ = model.forward(x0, 1.0, 1)
     want = image_from_tokens(x0 - v.data, MICRO)
-    assert np.array_equal(result.image, want)
+    assert np.array_equal(image_from_tokens(result.latent, MICRO), want)
 
 
 def test_untrained_model_sample_returns_the_noise():
     model = ToyDiffusionModel(MICRO, seed=0)
     result = euler_sample(model, 0, 4, seed=9)
     noise = stream_rng(9, "sampling", 0).standard_normal((16, 1))
-    assert np.array_equal(result.image, image_from_tokens(noise, MICRO))
+    assert np.array_equal(image_from_tokens(result.latent, MICRO), image_from_tokens(noise, MICRO))
     assert result.trace.deltas == [0.0, 0.0, 0.0, 0.0]
     assert result.trace.delta0 == 0.0
 
@@ -597,18 +597,18 @@ def test_sampling_is_bit_reproducible():
     model = warmed_model()
     a = euler_sample(model, 1, 6, seed=13)
     b = euler_sample(model, 1, 6, seed=13)
-    assert np.array_equal(a.image, b.image)
+    assert np.array_equal(a.latent, b.latent)
     assert a.trace.deltas == b.trace.deltas
     assert a.flops == b.flops
     c = euler_sample(model, 1, 6, seed=14)
-    assert not np.array_equal(a.image, c.image)
+    assert not np.array_equal(a.latent, c.latent)
 
 
 def test_sample_indices_draw_distinct_noise():
     model = warmed_model()
     a = euler_sample(model, 0, 2, seed=3, sample_index=0)
     b = euler_sample(model, 0, 2, seed=3, sample_index=1)
-    assert not np.array_equal(a.image, b.image)
+    assert not np.array_equal(a.latent, b.latent)
 
 
 def test_lockstep_samples_equal_samples_drawn_one_at_a_time(monkeypatch):
@@ -635,9 +635,28 @@ def test_lockstep_samples_equal_samples_drawn_one_at_a_time(monkeypatch):
         assert len(row) == len(labels)
         for s, (label, result) in enumerate(zip(labels, row)):
             alone = euler_sample(model, label, 5, seed=8, schedule=schedule, sample_index=s)
-            assert np.array_equal(result.image, alone.image)
+            assert np.array_equal(result.latent, alone.latent)
             assert result.trace == alone.trace
             assert result.flops == alone.flops
+
+
+def test_lockstep_samples_fail_one_by_one(monkeypatch):
+    model = warmed_model()
+    velocity = ModelBundle.velocity
+
+    def failing(self, x, t, count, labels):
+        if 1 in list(labels):
+            raise NumericError("label 1 diverged")
+        return velocity(self, x, t, count, labels)
+
+    monkeypatch.setattr(ModelBundle, "velocity", failing)
+    ((ok, failed),) = euler_samples(model, [0, 1], 3, seed=4)
+    with pytest.raises(NumericError, match="label 1 diverged"):
+        failed.result()
+    latent, trace, flops = ok.result()
+    alone = euler_sample(model, 0, 3, seed=4)
+    assert np.array_equal(latent, alone.latent)
+    assert trace == alone.trace and flops == alone.flops
 
 
 def test_sampling_leaves_weights_untouched():

@@ -119,6 +119,42 @@ def test_latching_must_be_a_json_boolean(latching):
         MediatorSchedule.from_json_dict({"n1": 4, "latching": latching})
 
 
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        ({"n1": 4, "level": [{"rho": 0.9, "n": 16}]}, "unknown schedule.level"),
+        ({"n1": 4, "levels": [{"rho": 0.9, "n": 16, "m": 1}]}, r"unknown schedule.levels\[0\].m"),
+        ({"n1": 4.9}, "schedule.n1 must be an integer, got 4.9"),
+        ({"n1": 4.0}, "schedule.n1 must be an integer, got 4.0"),
+        ({"n1": True}, "schedule.n1 must be an integer, got True"),
+        ({"n1": "4"}, "schedule.n1 must be an integer, got '4'"),
+        ({"n1": 4, "levels": [{"rho": 0.5, "n": 16.0}]}, "must be an integer, got 16.0"),
+        ({"n1": 4, "levels": [{"rho": 0.5, "n": False}]}, "must be an integer, got False"),
+        ({"n1": 4, "levels": [{"rho": "0.5", "n": 16}]}, "must be a number, got '0.5'"),
+        ({"n1": 4, "levels": [{"rho": True, "n": 16}]}, "must be a number, got True"),
+        ({"n1": 4, "levels": [{"n": 16}]}, "missing key 'rho'"),
+        ({"n1": 4, "levels": [[0.5, 16]]}, "must be an object"),
+        ({"n1": 4, "levels": {"rho": 0.5, "n": 16}}, "schedule.levels must be a list"),
+        ({"n1": 4, "metric": 1}, "schedule.metric must be a string"),
+        ([4], "schedule must be an object"),
+    ],
+    ids=[
+        "typo-level", "unknown-level-key", "n1-fraction", "n1-whole-float", "n1-boolean",
+        "n1-string", "n-float", "n-boolean", "rho-string", "rho-boolean", "level-without-rho",
+        "level-not-object", "levels-not-list", "metric-not-string", "not-object",
+    ],
+)
+def test_schedule_json_keys_and_types_follow_the_config_rules(payload, message):
+    with pytest.raises(ConfigError, match=message):
+        MediatorSchedule.from_json_dict(payload)
+
+
+def test_schedule_json_takes_integer_thresholds():
+    schedule = MediatorSchedule.from_json_dict({"n1": 4, "levels": [{"rho": 1, "n": 16}]})
+    assert schedule.levels == (ScheduleLevel(1.0, 16),)
+    assert type(schedule.levels[0].threshold) is float
+
+
 # ---------------------------------------------------------------------------
 # selection semantics: the three worked fixtures
 
