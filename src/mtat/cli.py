@@ -216,6 +216,8 @@ def _check_attention_shapes(config, command):
     bench = config["bench"]
     if not bench["sizes"]:
         raise ConfigError("bench.sizes must name at least one size")
+    if len(set(bench["sizes"])) != len(bench["sizes"]):
+        raise ConfigError(f"bench.sizes must not repeat a size, got {bench['sizes']}")
     for n_tokens in bench["sizes"]:
         bench_cfg = AttentionConfig.square(n_tokens, bench["channels"], bench["heads"])
         MediatorConfig.from_count(bench["mediators"], bench_cfg)

@@ -109,6 +109,10 @@ class ToyModelConfig:
             raise ConfigError("model needs at least one layer")
         if self.classes < 1 or self.channels < 1 or self.mlp_ratio < 1:
             raise ConfigError(f"invalid model config: {self}")
+        if self.time_width < 2 or self.time_width % 2:
+            raise ConfigError(
+                f"model.time_width must be even and at least 2, got {self.time_width}"
+            )
         # AttentionConfig validates the rest (grid, heads, hidden).
         self.attention_config  # noqa: B018
 

@@ -101,7 +101,8 @@ class _JsdScratch:
     (p + q) / 2. A zero entry contributes tiny * log(tiny) ~ -1.6e-305
     instead of 0, which rounding absorbs into any non-zero row sum.
     ``log`` is scratch for the one log per element; ``sums`` holds the
-    per-row entropies, each one fused row dot of x with log x.
+    per-row entropies, each one fused row dot of x with log x, and
+    ``mean_h`` the pairs' (H(p) + H(q)) / 2.
     """
 
     def __init__(self, rows, width):
@@ -109,6 +110,7 @@ class _JsdScratch:
         self.mix = np.empty((rows - 1, width))
         self.log = np.empty((rows - 1, width))
         self.sums = np.empty(rows - 1)
+        self.mean_h = np.empty(rows - 1)
 
     def _entropy(self, x):
         # -sum x log x per row, into self.sums. Every entropy goes through
@@ -142,7 +144,9 @@ class _JsdScratch:
         H(p) and H(q); clamped at 0 against rounding. Returns a view of
         ``sums``."""
         jsd = self._entropy(self.mix[:k])
-        jsd -= 0.5 * (h_first + h_second)
+        mean_h = np.add(h_first, h_second, out=self.mean_h[:k])
+        mean_h *= 0.5
+        jsd -= mean_h
         return np.maximum(jsd, 0.0, out=jsd)
 
 
@@ -209,7 +213,7 @@ def redundancy_score(maps, pair_cap=None, seed=0):
             for d in range(1, rows):
                 k = rows - d
                 np.add(half[:k], half[d:], out=mix[:k])
-                head_sum += float(np.sum(scratch.mixture_jsd(k, entropies[:k], entropies[d:])))
+                head_sum += float(scratch.mixture_jsd(k, entropies[:k], entropies[d:]).sum())
             score += head_sum
         else:
             rng = stream_rng(seed, "redundancy-pairs", head_index)
@@ -223,7 +227,7 @@ def redundancy_score(maps, pair_cap=None, seed=0):
                 np.take(half, a, axis=0, out=mix[:k], mode="clip")
                 np.take(half, b, axis=0, out=scratch.log[:k], mode="clip")
                 np.add(mix[:k], scratch.log[:k], out=mix[:k])
-                head_sum += float(np.sum(scratch.mixture_jsd(k, entropies[a], entropies[b])))
+                head_sum += float(scratch.mixture_jsd(k, entropies[a], entropies[b]).sum())
             score += head_sum * (total_pairs / pair_cap)
     heads = len(arrays)
     return 2.0 * score / (heads * rows * (rows - 1))

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,7 +24,16 @@ from mtat.attention import (
     vanilla_attention_head,
 )
 from mtat.errors import ConfigError, DimensionError, NumericError, UsageError
-from mtat.tensor import MacCounter, Tensor, backward, finite_diff_grad, mean_all, mul, sum_all
+from mtat.tensor import (
+    MacCounter,
+    Tensor,
+    backward,
+    finite_diff_grad,
+    mean_all,
+    mul,
+    no_grad,
+    sum_all,
+)
 
 
 def np_softmax_rows(x):
@@ -256,6 +266,24 @@ def test_multi_head_single_head_reduction():
     want = head_out.data @ params.w_out.data
     assert np.max(np.abs(out.data - want)) <= 1e-12
     assert np.max(np.abs(maps.heads[0] - attn.data)) <= 1e-15
+
+
+def test_vanilla_layer_peaks_near_its_map():
+    # N=1024: the (4, 1024, 1024) map is 32 MiB; the rest of the call,
+    # projections, softmax scratch and finiteness checks, stays under 3 MiB.
+    cfg = AttentionConfig.square(1024, 64, 4)
+    rng = np.random.default_rng(48)
+    z = Tensor(rng.standard_normal((cfg.n_tokens, cfg.channels)))
+    params = MultiHeadParams.random(rng, cfg.channels, requires_grad=False)
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        with no_grad():
+            _, maps = multi_head_attention(z, params, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - base < maps.heads.nbytes + 3 * 2**20
 
 
 def test_multi_head_concat_structure():

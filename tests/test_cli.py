@@ -716,18 +716,32 @@ def test_ill_typed_config_exits_2_before_writing(tmp_path, capsys, command, conf
         ("train", {"model": {"default_mediators": 100}}, [],
          "no 100-token mediator grid fits inside 8x8"),
         ("bench", {"bench": {"sizes": []}}, [], "bench.sizes must name at least one size"),
+        ("bench", {}, ["--sizes", "64,64"], "bench.sizes must not repeat a size, got [64, 64]"),
     ],
     ids=["negative-train-steps", "negative-samples", "zero-redundancy-samples", "zero-batch",
          "zero-reference-size", "negative-flops-layers", "one-extent-flops-grid",
          "three-extent-flops-grid", "zero-bench-size", "zero-bench-heads",
          "non-square-bench-size", "zero-flops-count", "out-of-grid-sweep-count",
-         "out-of-grid-schedule-count", "out-of-grid-default-count", "no-bench-sizes"],
+         "out-of-grid-schedule-count", "out-of-grid-default-count", "no-bench-sizes",
+         "repeated-bench-size"],
 )
 def test_out_of_range_config_exits_2_before_writing(tmp_path, capsys, command, config, flags, message):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
     out = tmp_path / "run"
     assert main([command, "--config", str(path), "--out", str(out)] + flags) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "sample"])
+@pytest.mark.parametrize("width", [0, -2, 3])
+def test_bad_time_width_exits_2_before_writing(tmp_path, capsys, command, width):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"model": {"time_width": width}}))
+    out = tmp_path / "run"
+    assert main([command, "--config", str(path), "--out", str(out)]) == 2
+    message = f"model.time_width must be even and at least 2, got {width}"
     assert capsys.readouterr() == ("", f"error: {message}\n")
     assert not out.exists()
 

@@ -1,6 +1,7 @@
 """Numerics core: forward oracles, gradient checks, and error paths."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from mtat.tensor import (
     sub,
     sum_all,
     transpose,
+    _check_finite,
     _row_dot,
 )
 
@@ -63,11 +65,39 @@ def test_tensor_is_float64_and_contiguous():
     assert t.size == 4
 
 
-def test_tensor_rejects_non_finite():
-    with pytest.raises(NumericError):
-        Tensor([1.0, float("nan")])
-    with pytest.raises(NumericError):
-        Tensor([1.0, float("inf")])
+# 3 full 64K-element check slices and a partial fourth of 5 entries.
+_SLICED = 3 * 2**16 + 5
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("where", ["first", "second_slice", "partial_slice_end", "strided"])
+def test_tensor_rejects_non_finite(value, where):
+    with pytest.raises(NumericError, match="^tensor construction produced non-finite values$"):
+        Tensor([1.0, value])
+    if where == "strided":
+        grid = np.ones((4, 2 * 2**16))
+        grid[-1, -2] = value
+        data = grid[:, ::2]
+        assert not data.flags.c_contiguous
+    else:
+        data = np.ones(_SLICED)
+        data[{"first": 0, "second_slice": 2**16, "partial_slice_end": _SLICED - 1}[where]] = value
+    with pytest.raises(NumericError, match="^probe produced non-finite values$"):
+        _check_finite(data, "probe")
+    with pytest.raises(NumericError, match="^tensor construction produced non-finite values$"):
+        Tensor(data)
+
+
+def test_finite_check_builds_no_full_size_mask():
+    data = np.ones((4, 1024, 1024))
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        _check_finite(data, "probe")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - base < 128 * 1024
 
 
 def test_ops_reject_non_finite_results():
