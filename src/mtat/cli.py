@@ -41,14 +41,7 @@ from .diffusion import (
     synth_dataset,
     train_step,
 )
-from .errors import (
-    ConfigError,
-    DegenerateTrajectoryError,
-    DimensionError,
-    DomainError,
-    NumericError,
-    UsageError,
-)
+from .errors import ConfigError, DegenerateTrajectoryError, MtatError, NumericError
 from .scheduler import (
     MediatorSchedule,
     default_rho_values,
@@ -56,7 +49,7 @@ from .scheduler import (
     sweep_thresholds,
     threshold_grid,
 )
-from .serialize import load_checkpoint, save_checkpoint, save_tensor
+from .serialize import checkpoint_from_bytes, save_checkpoint, save_tensor
 from .tensor import MacCounter, Tensor, no_grad
 from .util import check_json, child_seed, json_type, stream_rng, write_text_atomic
 
@@ -116,8 +109,8 @@ _COUNT_FLOORS = {
 
 
 def _merge(base, override):
-    """``override`` over ``base``, section by section, after ``check_json``
-    holds it to the defaults' keys and JSON types."""
+    """Lay ``override`` over ``base`` in place, section by section, after
+    ``check_json`` holds it to the defaults' keys and JSON types."""
     for key, value in override.items():
         if key in _META_KEYS:
             continue
@@ -125,29 +118,47 @@ def _merge(base, override):
             raise ConfigError(f"unknown config key {key}")
         check_json(base[key], value, f"config key {key}")
         base[key] = {**base[key], **value} if isinstance(base[key], dict) else value
-    return base
 
 
-def load_config(path):
-    if path is None:
-        return default_config()
+def _unique_keys(pairs):
+    """A JSON object from its (key, value) pairs; a repeated key is a ConfigError."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ConfigError(f"repeated key {key!r}")
+        obj[key] = value
+    return obj
+
+
+def _parse_json(blob):
+    return json.loads(blob.decode("utf-8"), object_pairs_hook=_unique_keys)
+
+
+def _read_input(path, what, parse):
+    """``parse`` of the bytes in the file at ``path``; any failure to read,
+    decode or parse them is one ConfigError that names the file."""
     try:
-        with open(path, encoding="utf-8") as handle:
-            user = json.load(handle)
-    except FileNotFoundError as exc:
-        raise ConfigError(f"config file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
-    if not isinstance(user, dict):
-        raise ConfigError(f"config file {path} must hold a JSON object")
-    return _merge(default_config(), user)
+        with open(path, "rb") as handle:
+            return parse(handle.read())
+    except OSError as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc.strerror}") from exc
+    except (ValueError, RecursionError, MtatError) as exc:
+        raise ConfigError(f"{what} {path} is not valid: {exc}") from exc
 
 
 def _resolve(args):
-    """The run's configuration: defaults, then the config file, then flags.
-    Everything checked here fails before the run writes anything."""
+    """The run's configuration (defaults, then the config file, then flags)
+    and its command's inputs: the model, from --ckpt or fresh from the seed,
+    for all but flops and bench, the schedule for sample and redundancy, and
+    the grid for sweep. Every outside input is read here, once, so every
+    check fails before the run writes anything."""
     command = args.command
-    config = load_config(args.config)
+    config = default_config()
+    if args.config is not None:
+        user = _read_input(args.config, "config file", _parse_json)
+        if not isinstance(user, dict):
+            raise ConfigError(f"config file {args.config} must hold a JSON object")
+        _merge(config, user)
     if args.seed is not None:
         config["seed"] = args.seed
     # Each integer flag overrides the key of its name in the command's section.
@@ -156,13 +167,7 @@ def _resolve(args):
         if getattr(args, key, None) is not None:
             config[section][key] = getattr(args, key)
     if getattr(args, "schedule", None):
-        try:
-            with open(args.schedule, encoding="utf-8") as handle:
-                config["schedule"] = json.load(handle)
-        except FileNotFoundError as exc:
-            raise ConfigError(f"schedule file not found: {args.schedule}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"schedule file is not valid JSON: {exc}") from exc
+        config["schedule"] = _read_input(args.schedule, "schedule file", _parse_json)
     if command == "flops" and getattr(args, "n", None):
         config["flops"]["counts"] = _int_list(args.n, "--n")
     if command == "bench" and args.sizes is not None:
@@ -179,28 +184,35 @@ def _resolve(args):
         raise ConfigError(
             f"redundancy.pair_cap must be null or a positive integer, got {pair_cap!r}"
         )
-    _check_attention_shapes(config, command)
+    model_cfg = ToyModelConfig.from_json_dict(config["model"])
+    raw = config["schedule"]
+    schedule = None if raw is None else MediatorSchedule.from_json_dict(raw)
+    _check_attention_shapes(config, command, model_cfg, schedule)
+    if command in ("flops", "bench"):
+        return config, {}
+    inputs = {}
+    if command in ("sample", "redundancy"):
+        inputs["schedule"] = schedule
     if command == "sweep":
-        _sweep_points(config)
-    return config
+        sweep = config["sweep"]
+        inputs["points"] = threshold_grid(
+            sweep["rho_values"], sweep["counts"], sweep["metrics"], sweep["two_level"]
+        )
+    ckpt = getattr(args, "ckpt", None)
+    if ckpt:
+        inputs["model"] = _read_input(
+            ckpt, "checkpoint",
+            lambda blob: ToyDiffusionModel.from_state(model_cfg, checkpoint_from_bytes(blob)),
+        )
+    else:
+        inputs["model"] = ToyDiffusionModel(model_cfg, seed=config["seed"])
+    return config, inputs
 
 
-def _sweep_points(config):
-    sweep = config["sweep"]
-    return threshold_grid(
-        rho_values=sweep["rho_values"],
-        counts=sweep["counts"],
-        metrics=sweep["metrics"],
-        two_level=sweep["two_level"],
-    )
-
-
-def _check_attention_shapes(config, command):
+def _check_attention_shapes(config, command, model_cfg, schedule):
     """Build every attention shape the config names and place every
     mediator count on the token grid it pools."""
-    model_cfg = ToyModelConfig.from_json_dict(config["model"])
     counts = [model_cfg.default_mediators]
-    schedule = _schedule_from_config(config)
     if schedule is not None:
         counts += [schedule.start_count] + [level.count for level in schedule.levels]
     # Only a sweep runs the sweep's counts on the model.
@@ -238,39 +250,26 @@ def _write_resolved(out_dir, config, args):
         "config": getattr(args, "config", None),
         "ckpt": getattr(args, "ckpt", None),
     }
-    write_text_atomic(
-        os.path.join(out_dir, "config.resolved.json"),
-        json.dumps(payload, indent=2, sort_keys=True) + "\n",
-    )
-
-
-def _model_from_config(config, ckpt_path):
-    model_cfg = ToyModelConfig.from_json_dict(config["model"])
-    if ckpt_path:
-        tensors = load_checkpoint(ckpt_path)
-        return ToyDiffusionModel.from_state(model_cfg, tensors)
-    return ToyDiffusionModel(model_cfg, seed=config["seed"])
-
-
-def _schedule_from_config(config):
-    if config.get("schedule") is None:
-        return None
-    return MediatorSchedule.from_json_dict(config["schedule"])
+    try:
+        write_text_atomic(
+            os.path.join(out_dir, "config.resolved.json"),
+            json.dumps(payload, indent=2, sort_keys=True) + "\n",
+        )
+    except OSError as exc:
+        raise ConfigError(f"cannot write output directory {out_dir}: {exc.strerror}") from exc
 
 
 # ---------------------------------------------------------------------------
 # commands
 
 
-def cmd_train(args, config, out):
+def cmd_train(config, out, model):
     seed = config["seed"]
-    model_cfg = ToyModelConfig.from_json_dict(config["model"])
     data_cfg, train_cfg = config["data"], config["train"]
     data = synth_dataset(
-        seed, model_cfg.classes, model_cfg.grid_h, model_cfg.grid_w,
-        data_cfg["size"], model_cfg.channels,
+        seed, model.cfg.classes, model.cfg.grid_h, model.cfg.grid_w,
+        data_cfg["size"], model.cfg.channels,
     )
-    model = ToyDiffusionModel(model_cfg, seed=seed)
     optimizer = SgdState(SgdConfig(lr=train_cfg["lr"], momentum=train_cfg["momentum"]))
     draw = stream_rng(seed, "data", "train")
     batch, steps = train_cfg["batch"], train_cfg["steps"]
@@ -293,10 +292,8 @@ def cmd_train(args, config, out):
     return 0
 
 
-def cmd_sample(args, config, out):
+def cmd_sample(config, out, model, schedule):
     seed = config["seed"]
-    model = _model_from_config(config, args.ckpt)
-    schedule = _schedule_from_config(config)
     steps, samples = config["sampler"]["steps"], config["sampler"]["samples"]
 
     labels = [i % model.cfg.classes for i in range(samples)]
@@ -324,10 +321,8 @@ def cmd_sample(args, config, out):
     return 0
 
 
-def cmd_redundancy(args, config, out):
+def cmd_redundancy(config, out, model, schedule):
     seed = config["seed"]
-    model = _model_from_config(config, args.ckpt)
-    schedule = _schedule_from_config(config)
     red_cfg = config["redundancy"]
     steps, samples = red_cfg["steps"], red_cfg["samples"]
     labels = [i % model.cfg.classes for i in range(samples)]
@@ -345,11 +340,9 @@ def cmd_redundancy(args, config, out):
     return 0
 
 
-def cmd_sweep(args, config, out):
+def cmd_sweep(config, out, model, points):
     seed = config["seed"]
-    model = _model_from_config(config, args.ckpt)
     sweep_cfg = config["sweep"]
-    points = _sweep_points(config)
     steps, per_point_samples = sweep_cfg["steps"], sweep_cfg["samples"]
     ref_data = synth_dataset(
         child_seed(seed, "sweep", "reference"),
@@ -452,7 +445,7 @@ _PUBLISHED_REFERENCE = {
 }
 
 
-def cmd_flops(args, config, out):
+def cmd_flops(config, out):
     stack = config["flops"]
     attn_cfg = AttentionConfig(stack["n_tokens"], stack["channels"], stack["heads"], *stack["grid"])
     layers, counts = stack["layers"], stack["counts"]
@@ -489,7 +482,7 @@ def cmd_flops(args, config, out):
     return 0
 
 
-def cmd_bench(args, config, out):
+def cmd_bench(config, out):
     bench = config["bench"]
     sizes = bench["sizes"]
     channels, heads, mediators = bench["channels"], bench["heads"], bench["mediators"]
@@ -607,16 +600,16 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        config = _resolve(args)
+        config, inputs = _resolve(args)
         out = args.out or os.path.join("runs", args.command)
         _write_resolved(out, config, args)
-        return args.func(args, config, out) or 0
-    except (ConfigError, UsageError, DimensionError, DomainError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return args.func(config, out, **inputs) or 0
     except (NumericError, DegenerateTrajectoryError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return 3
+    except MtatError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -1,8 +1,8 @@
 """Exception types shared across the package.
 
 Every error raised on purpose derives from MtatError so callers can catch
-one base class. The CLI maps ConfigError/UsageError to exit code 2 and
-NumericError to exit code 3.
+one base class. The CLI maps NumericError and DegenerateTrajectoryError to
+exit code 3 and every other MtatError to exit code 2.
 """
 
 

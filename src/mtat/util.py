@@ -1,6 +1,7 @@
 """Small shared helpers: named RNG streams, atomic writes, JSON type checks."""
 
 import hashlib
+import math
 import os
 import tempfile
 
@@ -66,13 +67,16 @@ def json_type(value):
 
 def check_json(shape, value, name):
     """Raise ConfigError unless ``value`` has ``shape``'s JSON type. An
-    integer passes for a number, list items follow the shape's first item,
-    objects hold only the shape's keys, and a null shape passes anything."""
+    integer passes for a number, NaN and infinities for nothing; list items
+    follow the shape's first item, objects hold only the shape's keys, and
+    a null shape passes anything."""
     want, got = json_type(shape), json_type(value)
     if want is None:
         return
     if got != want and (want, got) != ("a number", "an integer"):
         raise ConfigError(f"{name} must be {want}, got {value!r}")
+    if got == "a number" and not math.isfinite(value):
+        raise ConfigError(f"{name} must be a finite number, got {value!r}")
     if want == "a list":
         for i, item in enumerate(value):
             check_json(shape[0], item, f"{name}[{i}]")

@@ -27,7 +27,7 @@ from mtat.diffusion import (
 )
 from mtat.errors import NumericError
 from mtat.scheduler import MAX_BATCH, pareto_envelope, threshold_grid
-from mtat.serialize import load_checkpoint
+from mtat.serialize import checkpoint_from_bytes, load_checkpoint
 from mtat.tensor import Tensor
 from mtat.serialize import save_checkpoint
 from mtat.util import child_seed, stream_rng
@@ -674,9 +674,14 @@ def test_bench_records_its_repeats(tmp_path, config_path):
         ("redundancy", {"redundancy": {"pair_cap": 2.5}}, ["--steps", "1", "--samples", "1"],
          "redundancy.pair_cap must be null or a positive integer, got 2.5"),
         ("train", {}, ["--seed", "-1", "--steps", "0"], "seed must be non-negative, got -1"),
+        # json.dumps writes these as the non-standard literals NaN and Infinity.
+        ("train", {"train": {"lr": math.nan}}, ["--steps", "0"],
+         "config key train.lr must be a finite number, got nan"),
+        ("train", {"train": {"lr": math.inf}}, ["--steps", "0"],
+         "config key train.lr must be a finite number, got inf"),
     ],
     ids=["string-rhos", "string-two-level", "string-grid", "three-extent-grid",
-         "fractional-hidden", "fractional-pair-cap", "negative-seed"],
+         "fractional-hidden", "fractional-pair-cap", "negative-seed", "nan-lr", "infinite-lr"],
 )
 def test_ill_typed_config_exits_2_before_writing(tmp_path, capsys, command, config, flags, message):
     path = tmp_path / "config.json"
@@ -770,13 +775,97 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
     assert "unknown config key" in capsys.readouterr().err
 
 
-def test_incompatible_checkpoint_exits_2(tmp_path, config_path):
+def test_incompatible_checkpoint_exits_2(tmp_path, config_path, capsys):
     train_out = tmp_path / "train"
     assert main(["train", "--config", config_path, "--steps", "1", "--out", str(train_out)]) == 0
+    capsys.readouterr()
     # default model config is 8x8, the checkpoint holds 4x4 weights
-    assert main(
-        ["sample", "--ckpt", str(train_out / "model.ckpt"), "--out", str(tmp_path / "o")]
-    ) == 2
+    ckpt, out = train_out / "model.ckpt", tmp_path / "o"
+    assert main(["sample", "--ckpt", str(ckpt), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: checkpoint {ckpt} is not valid: ")
+    assert not out.exists()
+
+
+REPEATED_KEYS = {
+    "--config": '{"train": {"steps": 1, "steps": 3}}',
+    "--schedule": '{"n1": 4, "n1": 16}',
+}
+
+
+def unreadable_run(tmp_path, flag, kind, micro_ckpt):
+    """The argv of a run whose ``flag`` names an input of ``kind`` that it
+    cannot read or use, and the path that input lives at."""
+    path = tmp_path / "input"
+    command, extra = "sample", ["--out", str(tmp_path / "run")]
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "not-utf8":
+        path.write_bytes(b'{"seed": "\xff"}')
+    elif kind == "not-json":
+        path.write_text("{not json")
+    elif kind == "repeated-key":
+        path.write_text(REPEATED_KEYS[flag])
+    elif kind == "too-deep":
+        path.write_text("[" * 100_000 + "]" * 100_000)
+    elif kind == "garbage":
+        path.write_bytes(b"garbage\n")
+    elif kind == "truncated":
+        path.write_bytes(Path(micro_ckpt).read_bytes()[:100])
+    elif kind == "non-finite":
+        # The last 8 bytes are the last weight of the last tensor.
+        path.write_bytes(Path(micro_ckpt).read_bytes()[:-8] + np.array([np.nan]).tobytes())
+    elif kind == "wrong-shape":
+        path = Path(micro_ckpt)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"model": {**MICRO_MODEL, "hidden": 16}}))
+        extra += ["--config", str(config)]
+    elif kind == "file":
+        path.write_text("")
+    elif kind == "under-a-file":
+        (tmp_path / "file").write_text("")
+        path = tmp_path / "file" / "sub"
+    if flag == "--out":
+        command, extra = "flops", []
+    return [command, flag, str(path)] + extra, path
+
+
+FILE_KINDS = ["missing", "directory", "not-utf8", "not-json", "repeated-key", "too-deep"]
+CKPT_KINDS = ["missing", "directory", "garbage", "truncated", "non-finite", "wrong-shape"]
+
+
+@pytest.mark.parametrize("flag, kind", [
+    *[("--config", kind) for kind in FILE_KINDS],
+    *[("--schedule", kind) for kind in FILE_KINDS],
+    *[("--ckpt", kind) for kind in CKPT_KINDS],
+    ("--out", "file"),
+    ("--out", "under-a-file"),
+])
+def test_unreadable_input_exits_2_with_one_line_before_writing(
+    tmp_path, capsys, micro_ckpt, flag, kind
+):
+    def snapshot():
+        return {p: p.read_bytes() if p.is_file() else None for p in tmp_path.rglob("*")}
+
+    argv, path = unreadable_run(tmp_path, flag, kind, micro_ckpt)
+    before = snapshot()
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith("error: ") and str(path) in err
+    assert snapshot() == before
+
+
+def test_sample_reads_its_checkpoint_once(tmp_path, config_path, micro_ckpt, monkeypatch):
+    reads = []
+
+    def counting_reader(blob):
+        reads.append(len(blob))
+        return checkpoint_from_bytes(blob)
+
+    monkeypatch.setattr("mtat.cli.checkpoint_from_bytes", counting_reader)
+    out = tmp_path / "run"
+    assert main(["sample", "--config", config_path, "--ckpt", micro_ckpt, "--out", str(out)]) == 0
+    assert reads == [os.path.getsize(micro_ckpt)]
 
 
 def test_numeric_blowup_exits_3(tmp_path, config_path, capsys):
