@@ -21,6 +21,7 @@ from .errors import ConfigError, DimensionError, NumericError, UsageError
 from .tensor import (
     MacCounter,
     Tensor,
+    _row_dot,
     add,
     adaptive_avg_pool2d,
     attend,
@@ -129,7 +130,7 @@ class MultiHeadParams:
 
 
 def _check_rows_stochastic(array, what):
-    sums = array.sum(axis=-1)
+    sums = _row_dot(array, 1.0)
     worst = float(np.abs(sums - 1.0).max()) if sums.size else 0.0
     if not worst <= _ROW_SUM_TOL:  # a NaN entry makes worst NaN
         raise NumericError(f"{what} rows deviate from sum 1 by {worst:.3e}")

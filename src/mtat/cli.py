@@ -250,13 +250,10 @@ def _write_resolved(out_dir, config, args):
         "config": getattr(args, "config", None),
         "ckpt": getattr(args, "ckpt", None),
     }
-    try:
-        write_text_atomic(
-            os.path.join(out_dir, "config.resolved.json"),
-            json.dumps(payload, indent=2, sort_keys=True) + "\n",
-        )
-    except OSError as exc:
-        raise ConfigError(f"cannot write output directory {out_dir}: {exc.strerror}") from exc
+    write_text_atomic(
+        os.path.join(out_dir, "config.resolved.json"),
+        json.dumps(payload, indent=2, sort_keys=True) + "\n",
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -609,6 +606,9 @@ def main(argv=None):
         return 3
     except MtatError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # every input is read in _resolve, so this is an output
+        print(f"error: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
         return 2
 
 

@@ -2,7 +2,8 @@
 
 Every error raised on purpose derives from MtatError so callers can catch
 one base class. The CLI maps NumericError and DegenerateTrajectoryError to
-exit code 3 and every other MtatError to exit code 2.
+exit code 3, and every other MtatError and a failed output write to exit
+code 2.
 """
 
 

@@ -12,10 +12,20 @@ op checks its output for NaN or Inf; silent non-finite propagation is
 treated as a bug, not a value.
 Matrix ops accept an optional MacCounter so callers can meter multiply-
 accumulate work without touching the math.
+
+Op outputs of 256 KiB up to 4 MiB computed inside ``no_grad`` are views
+of blocks from one private, capped pool, so a loop that repeats a call
+at the same shapes reuses memory instead of having the OS map and fault
+in fresh pages each time.
+The contract: an op output may reuse the memory of an array that nobody
+references any more. Every view of a block keeps it through ``.base``,
+so an output, a map, a slice of either or a VJP closure that is still
+alive keeps its bytes.
 """
 
 import functools
 import math
+import sys
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -88,6 +98,63 @@ def _check_finite(arr, op):
             raise NumericError(f"{op} produced non-finite values")
 
 
+# Op outputs of 256 KiB up to 4 MiB are views of pooled blocks. glibc
+# gives a freed heap top of that size back to the OS and the next call
+# faults it in again page by page; below it glibc's bins reuse memory,
+# and from 4 MiB numpy asks for huge pages. The cap bounds what the pool
+# keeps when callers hold many outputs at once. Outputs a tape records
+# stay with glibc while the VJP buffers do: pooling only the outputs
+# kept glibc's trim threshold low, and an 80-step `mtat train` took 1.4
+# to 2.2 times the page faults.
+_POOL_MIN, _POOL_MAX, _POOL_CAP = 256 << 10, 4 << 20, 16 << 20
+_pool = {}  # block bytes -> list of 1-D float64 blocks
+_pool_bytes = 0
+_pool_lock = threading.Lock()  # sweep_thresholds(..., workers>1) runs ops in threads
+
+
+def _free_index(blocks, free_refs):
+    """Index of the first of ``blocks`` that nothing but the list refers
+    to, or -1. Every view of a block holds it through ``.base``, so such
+    a block backs no live array."""
+    for i in range(len(blocks)):
+        if sys.getrefcount(blocks[i]) == free_refs:
+            return i
+    return -1
+
+
+# The count sys.getrefcount reads in _free_index for a block only its
+# list holds. It differs between CPython versions, so it is measured.
+_FREE_REFS = next(n for n in range(1, 8) if _free_index([np.empty(1)], n) == 0)
+
+
+def _empty(shape):
+    """An uninitialised float64 array of ``shape`` for an op's output.
+    Within the pooled sizes and with recording off it reuses a block that
+    no array refers to any more, so an op output may take over the memory
+    of a dead one."""
+    global _pool_bytes
+    nbytes = 8 * math.prod(shape)
+    if not _POOL_MIN <= nbytes < _POOL_MAX or _grad_enabled():
+        return np.empty(shape)
+    with _pool_lock:
+        blocks = _pool.setdefault(nbytes, [])
+        i = _free_index(blocks, _FREE_REFS)
+        if i >= 0:
+            return blocks[i].reshape(shape)
+        for size, others in _pool.items():
+            while size != nbytes and _pool_bytes + nbytes > _POOL_CAP:
+                j = _free_index(others, _FREE_REFS)
+                if j < 0:
+                    break
+                del others[j]
+                _pool_bytes -= size
+        if _pool_bytes + nbytes > _POOL_CAP:
+            return np.empty(shape)
+        blocks.append(np.empty(nbytes // 8))
+        _pool_bytes += nbytes
+        return blocks[-1].reshape(shape)
+
+
 @functools.lru_cache(maxsize=64)
 def _constant_column(size, value):
     column = np.full(size, value)
@@ -106,7 +173,8 @@ def _row_dot(x, value):
     so a sample's sums would depend on its batch.
     """
     column = _constant_column(x.shape[-1], value)
-    return (x.reshape((-1,) + x.shape[-2:]) @ column).reshape(x.shape[:-1] + (1,))
+    stack = x.reshape((math.prod(x.shape[:-2]),) + x.shape[-2:])
+    return (stack @ column).reshape(x.shape[:-1] + (1,))
 
 
 def _row_max(x):
@@ -265,7 +333,7 @@ def add(a, b):
     a = _as_tensor(a, "add")
     b = _as_tensor(b, "add")
     if a.shape == b.shape:
-        return _make(a.data + b.data, "add", (a, b), lambda g: (g, g))
+        return _make(np.add(a.data, b.data, out=_empty(a.shape)), "add", (a, b), lambda g: (g, g))
     tail = a.shape[a.ndim - b.ndim :] if b.ndim <= a.ndim else None
     if tail is None or any(sb not in (1, sa) for sa, sb in zip(tail, b.shape)):
         raise DimensionError(f"add got incompatible shapes {a.shape} and {b.shape}")
@@ -408,7 +476,8 @@ def matmul(a, b, counter=None, label="matmul"):
     need_a, need_b = a.requires_grad, b.requires_grad
     if bd.ndim == 2:
         flat = ad.reshape(-1, inner)
-        out = (flat @ bd).reshape(ad.shape[:-1] + bd.shape[1:])
+        out = np.matmul(flat, bd, out=_empty((len(flat), bd.shape[1])))
+        out = out.reshape(ad.shape[:-1] + bd.shape[1:])
 
         def vjp(g):
             g_flat = g.reshape(-1, g.shape[-1])
@@ -416,7 +485,7 @@ def matmul(a, b, counter=None, label="matmul"):
             return ga, (flat.T @ g_flat if need_b else None)
 
     else:
-        out = ad @ bd
+        out = np.matmul(ad, bd, out=_empty(ad.shape[:-1] + bd.shape[-1:]))
 
         def vjp(g):
             ga = g @ np.swapaxes(bd, -1, -2) if need_a else None
@@ -448,7 +517,12 @@ def _split_heads(x, heads):
 
 def _merge_heads(x, heads):
     """(..., heads, m, d) to (..., m, heads*d), by one copy."""
-    return x if heads == 1 else np.swapaxes(x, -3, -2).reshape(x.shape[:-3] + (x.shape[-2], -1))
+    if heads == 1:
+        return x
+    merged = np.swapaxes(x, -3, -2)
+    out = _empty(merged.shape)
+    np.copyto(out, merged)
+    return out.reshape(x.shape[:-3] + (x.shape[-2], -1))
 
 
 def attend(q, k, v, factor, counter=None, label="attend", heads=1):
@@ -488,12 +562,17 @@ def attend(q, k, v, factor, counter=None, label="attend", heads=1):
     if counter is not None:
         counter.add(label, math.prod(q.shape[:-1]) * k.shape[-2] * (q.shape[-1] + v.shape[-1]))
     # Scaling the m x d queries costs less than scaling the m x n scores.
-    attn = (qd * factor) @ np.swapaxes(kd, -1, -2)
+    # They are scaled into q's own layout, read and written in order.
+    attn = np.matmul(
+        np.multiply(qd, factor, out=_split_heads(_empty(q.shape), heads)),
+        np.swapaxes(kd, -1, -2),
+        out=_empty(qd.shape[:-1] + kd.shape[-2:-1]),
+    )
     attn -= _row_max(attn)
     np.exp(attn, out=attn)
     attn *= 1.0 / _row_dot(attn, 1.0)
     attn.flags.writeable = False
-    out = attn @ vd
+    out = np.matmul(attn, vd, out=_empty(attn.shape[:-1] + vd.shape[-1:]))
     need_q, need_k, need_v = q.requires_grad, k.requires_grad, v.requires_grad
 
     def vjp(g):
@@ -646,7 +725,9 @@ def _neighbourhoods(stack):
 
 
 def _padded(images, height, width, depth):
-    out = np.zeros((images.size // (height * width * depth), height + 2, width + 2, depth))
+    out = _empty((images.size // (height * width * depth), height + 2, width + 2, depth))
+    out[:, [0, -1]] = 0.0  # the zero border: a reused block holds old values
+    out[:, 1:-1, [0, -1]] = 0.0
     out[:, 1:-1, 1:-1] = images.reshape(-1, height, width, depth)
     return out
 
@@ -670,7 +751,8 @@ def depthwise_conv3x3(x, kernels, counter=None, label="dwconv"):
         counter.add(label, 9 * x.size)
     padded = _padded(x.data, height, width, depth)
     kd = kernels.data
-    out = np.einsum("nhwdab,abd->nhwd", _neighbourhoods(padded), kd)
+    out = _empty((len(padded), height, width, depth))
+    np.einsum("nhwdab,abd->nhwd", _neighbourhoods(padded), kd, out=out)
 
     def vjp(g):
         # The input gradient correlates g with the flipped kernels.

@@ -139,6 +139,17 @@ def test_attention_maps_reject_non_stochastic_rows():
         AttentionMaps.full([np.array([[np.nan, 1.0], [0.5, 0.5]])])
 
 
+@pytest.mark.parametrize("cols", [4, 16, 64])
+@pytest.mark.parametrize("bump", [np.nan, np.inf, 2e-10, None], ids=["nan", "inf", "off", "negative"])
+def test_mediated_maps_reject_a_bad_last_entry(cols, bump):
+    # The last entry of the last row: NaN, +inf, 2e-10 above a stochastic
+    # row's, or -1e-300, which moves no row sum.
+    qt = np.full((4, 1024, cols), 1.0 / cols)
+    qt[-1, -1, -1] = -1e-300 if bump is None else qt[-1, -1, -1] + bump
+    with pytest.raises(NumericError):
+        AttentionMaps.mediated(qt, np.full((4, cols, 1024), 1.0 / 1024))
+
+
 def test_attention_maps_share_an_array_stack_and_copy_lists():
     stack = np.full((2, 3, 3), 1.0 / 3.0)
     maps = AttentionMaps.full(stack)

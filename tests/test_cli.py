@@ -855,6 +855,20 @@ def test_unreadable_input_exits_2_with_one_line_before_writing(
     assert snapshot() == before
 
 
+@pytest.mark.parametrize("command, name", [("train", "loss.csv"), ("sweep", "sweep.csv")])
+def test_an_output_it_cannot_write_exits_2_with_one_line(
+    tmp_path, capsys, config_path, micro_ckpt, command, name
+):
+    out = tmp_path / "run"
+    (out / name).mkdir(parents=True)  # a directory holds the output's name
+    argv = [command, "--config", config_path, "--out", str(out)]
+    assert main(argv + (["--ckpt", micro_ckpt] if command == "sweep" else [])) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("error: ") and str(out / name) in err
+    assert not list(out.glob(".tmp-*"))
+
+
 def test_sample_reads_its_checkpoint_once(tmp_path, config_path, micro_ckpt, monkeypatch):
     reads = []
 

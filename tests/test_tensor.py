@@ -1,11 +1,15 @@
 """Numerics core: forward oracles, gradient checks, and error paths."""
 
+import gc
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from mtat.attention import AttentionConfig, MediatorConfig, MultiHeadParams, mediator_attention
 from mtat.errors import DimensionError, NumericError, UsageError
 from mtat.tensor import (
     MacCounter,
@@ -29,7 +33,11 @@ from mtat.tensor import (
     sub,
     sum_all,
     transpose,
+    _POOL_CAP,
+    _POOL_MAX,
+    _POOL_MIN,
     _check_finite,
+    _empty,
     _row_dot,
 )
 
@@ -708,3 +716,109 @@ def test_attend_rejects_non_finite_results_and_bad_shapes():
     k, v = Tensor(np.ones((3, 5, 3))), Tensor(np.ones((3, 5, 2)))
     with pytest.raises(DimensionError):
         attend(Tensor(np.ones((2, 4, 3))), k, v, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# output block pool
+
+
+def mediated_n1024():
+    """One N=1024, 4-head, 16-mediator layer and its inputs: every output
+    and both stage maps fall in the pooled sizes."""
+    cfg = AttentionConfig.square(1024, 64, 4)
+    rng = np.random.default_rng(0)
+    z = Tensor(rng.standard_normal((1024, 64)))
+    params = MultiHeadParams.random(rng, 64, requires_grad=False)
+    kernels = Tensor(rng.normal(0.0, 0.2, (3, 3, 64)))
+    return lambda: mediator_attention(z, params, cfg, MediatorConfig(4, 4), kernels)
+
+
+def result_arrays(result):
+    out, maps = result
+    return [out.data, maps.query_to_mediator, maps.mediator_to_key]
+
+
+def test_held_outputs_keep_their_memory_across_calls():
+    layer = mediated_n1024()
+    with no_grad():
+        held = result_arrays(layer())
+        held.append(held[0][::3, 5:])  # a view outlives its parent's name
+        saved = [a.copy() for a in held]
+        fresh = result_arrays(layer())
+    for a, want in zip(held, saved):
+        assert np.array_equal(a, want)
+        assert not any(np.shares_memory(a, b) for b in fresh)
+    assert all(np.array_equal(a, b) for a, b in zip(fresh, saved))
+
+
+def test_dropped_outputs_give_their_blocks_to_the_next_call():
+    layer = mediated_n1024()
+    pointers = lambda arrays: [a.__array_interface__["data"][0] for a in arrays]
+    with no_grad():
+        layer()
+        gc.collect()  # no cycle from an earlier test frees a block mid-call
+        first = pointers(result_arrays(layer()))
+        assert pointers(result_arrays(layer())) == first
+
+
+@pytest.mark.parametrize("nbytes, pooled", [
+    (_POOL_MIN - 8, False), (_POOL_MIN, True), (_POOL_MAX - 8, True), (_POOL_MAX, False),
+])
+def test_only_mid_size_outputs_come_from_the_pool(nbytes, pooled):
+    with no_grad():
+        block = _empty((nbytes // 8,)).base
+    assert (block is not None) == pooled
+    if pooled:
+        assert block.ndim == 1 and block.nbytes == nbytes
+    assert _empty((nbytes // 8,)).base is None  # a recording tape's outputs are plain
+
+
+def test_pooled_bytes_never_pass_the_cap():
+    import mtat.tensor as T
+
+    held = []
+    for i, kib in enumerate(range(256, 4096, 96)):
+        with no_grad():
+            held.append(_empty((kib * 128,)))  # live, so every size needs its own block
+        if i % 3:
+            held.pop(0)
+        with T._pool_lock:
+            assert T._pool_bytes == sum(sum(b.nbytes for b in blocks) for blocks in T._pool.values())
+            assert T._pool_bytes <= _POOL_CAP
+
+
+def test_threads_sharing_the_pool_match_a_serial_run():
+    rng = np.random.default_rng(7)
+    inputs = [
+        [Tensor(rng.standard_normal(shape)) for shape in ((1024, 64), (64, 64), (64, 64))]
+        for _ in range(4)
+    ]
+
+    def run(q, k, v):
+        out, attn = attend(q, k, v, 0.25, heads=4)
+        return out.data.copy(), attn.data.copy()
+
+    with no_grad():
+        serial = [run(*qkv) for qkv in inputs]
+    mismatches, done = [], []
+
+    def worker(i):
+        with no_grad():
+            for _ in range(25):
+                got = run(*inputs[i])
+                if not all(np.array_equal(a, b) for a, b in zip(got, serial[i])):
+                    mismatches.append(i)
+        done.append(i)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert sorted(done) == [0, 1, 2, 3] and mismatches == []
