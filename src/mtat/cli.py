@@ -168,7 +168,7 @@ def _resolve(args):
             config[section][key] = getattr(args, key)
     if getattr(args, "schedule", None):
         config["schedule"] = _read_input(args.schedule, "schedule file", _parse_json)
-    if command == "flops" and getattr(args, "n", None):
+    if command == "flops" and args.n is not None:
         config["flops"]["counts"] = _int_list(args.n, "--n")
     if command == "bench" and args.sizes is not None:
         config["bench"]["sizes"] = _int_list(args.sizes, "--sizes")
@@ -223,16 +223,22 @@ def _check_attention_shapes(config, command, model_cfg, schedule):
     flops = config["flops"]
     grid = grid_extents(flops["grid"], "flops grid")
     flops_cfg = AttentionConfig(flops["n_tokens"], flops["channels"], flops["heads"], *grid)
+    _check_distinct(flops["counts"], "flops.counts", "count")
     for count in flops["counts"]:
         MediatorConfig.from_count(count, flops_cfg)
     bench = config["bench"]
-    if not bench["sizes"]:
-        raise ConfigError("bench.sizes must name at least one size")
-    if len(set(bench["sizes"])) != len(bench["sizes"]):
-        raise ConfigError(f"bench.sizes must not repeat a size, got {bench['sizes']}")
+    _check_distinct(bench["sizes"], "bench.sizes", "size")
     for n_tokens in bench["sizes"]:
         bench_cfg = AttentionConfig.square(n_tokens, bench["channels"], bench["heads"])
         MediatorConfig.from_count(bench["mediators"], bench_cfg)
+
+
+def _check_distinct(values, key, noun):
+    """The config list ``key`` must name at least one ``noun`` and none twice."""
+    if not values:
+        raise ConfigError(f"{key} must name at least one {noun}")
+    if len(set(values)) != len(values):
+        raise ConfigError(f"{key} must not repeat a {noun}, got {values}")
 
 
 def _int_list(raw, flag):

@@ -53,7 +53,7 @@ class Distribution:
         return self.probs.size
 
 
-def _as_probs(value, what):
+def _as_probs(value):
     if isinstance(value, Distribution):
         return value.probs
     return Distribution(value).probs
@@ -65,8 +65,8 @@ def kl_divergence(p, q):
     Zero-probability terms in p contribute nothing; any mass of p on a
     zero of q makes the divergence infinite.
     """
-    pa = _as_probs(p, "kl_divergence")
-    qa = _as_probs(q, "kl_divergence")
+    pa = _as_probs(p)
+    qa = _as_probs(q)
     if pa.shape != qa.shape:
         raise DimensionError(f"distribution lengths differ: {pa.size} vs {qa.size}")
     support = pa > 0.0
@@ -79,8 +79,8 @@ def kl_divergence(p, q):
 def js_divergence(p, q):
     """Jensen-Shannon divergence in nats: symmetric, finite, and at most
     ln 2 (reached only on disjoint supports)."""
-    pa = _as_probs(p, "js_divergence")
-    qa = _as_probs(q, "js_divergence")
+    pa = _as_probs(p)
+    qa = _as_probs(q)
     if pa.shape != qa.shape:
         raise DimensionError(f"distribution lengths differ: {pa.size} vs {qa.size}")
     scratch = _JsdScratch(2, pa.size)

@@ -4,8 +4,8 @@ Early denoising steps move the latent most and set only coarse layout,
 so their query-key interactions are the most redundant: few mediators
 serve them. The schedule starts at its smallest count and advances to
 larger ones as the per-step displacement, relative to the first step's,
-decays below configured fractions. Counts never shrink, and advancing
-is latched by default, so a noisy uptick never drops capacity back down.
+decays below configured fractions. A level once reached is kept, so
+counts never shrink and a noisy uptick never drops capacity back down.
 
 Also hosts the sweep machinery for exploring threshold grids and the
 Pareto envelope over (cost, quality) points.
@@ -70,14 +70,11 @@ class MediatorSchedule:
     Thresholds are fractions in [0, 1], strictly decreasing; a grid that
     wants two coincident thresholds should merge them into one level
     that jumps straight to the larger count. Counts must never shrink.
-    ``latching`` keeps the level monotone over the run; turning it off
-    re-evaluates every step from scratch, so capacity can drop again.
     """
 
     start_count: int
     levels: tuple = ()
     metric: str = "l1"
-    latching: bool = True
 
     def __post_init__(self):
         object.__setattr__(self, "levels", tuple(self.levels))
@@ -111,14 +108,11 @@ class MediatorSchedule:
         return self.start_count if level == 0 else self.levels[level - 1].count
 
     def to_json_dict(self):
-        payload = {
+        return {
             "n1": self.start_count,
             "levels": [{"rho": lv.threshold, "n": lv.count} for lv in self.levels],
             "metric": self.metric,
         }
-        if not self.latching:
-            payload["latching"] = False
-        return payload
 
     @classmethod
     def from_json_dict(cls, payload):
@@ -131,14 +125,11 @@ class MediatorSchedule:
             levels = tuple(ScheduleLevel(float(lv["rho"]), lv["n"]) for lv in levels)
         except KeyError as exc:
             raise ConfigError(f"malformed schedule: missing key {exc}") from exc
-        latching = payload.get("latching", True)
-        if not isinstance(latching, bool):
-            raise ConfigError(f"schedule latching must be true or false, got {latching!r}")
-        return cls(start, levels, payload.get("metric", "l1"), latching)
+        return cls(start, levels, payload.get("metric", "l1"))
 
 
-# Each schedule key's JSON type; latching is null here, having its own check.
-_SCHEDULE_SHAPE = {"n1": 1, "levels": [{"rho": 0.0, "n": 1}], "metric": "l1", "latching": None}
+# Each schedule key's JSON type.
+_SCHEDULE_SHAPE = {"n1": 1, "levels": [{"rho": 0.0, "n": 1}], "metric": "l1"}
 
 
 def select_mediator_count(delta_t, delta0, level, schedule):
@@ -149,7 +140,7 @@ def select_mediator_count(delta_t, delta0, level, schedule):
     (delta_t <= rho_i * delta0, boundary inclusive) makes level i+1
     eligible; thresholds decrease, so the eligible set is a prefix and
     the deepest crossed level wins, possibly advancing several levels in
-    one step. Returns (count, new_level).
+    one step. A level once reached is kept. Returns (count, new_level).
     """
     if delta0 <= 0.0:
         raise DegenerateTrajectoryError(
@@ -163,7 +154,7 @@ def select_mediator_count(delta_t, delta0, level, schedule):
     for idx, rule in enumerate(schedule.levels):
         if delta_t <= rule.threshold * delta0:
             candidate = idx + 1
-    new_level = max(level, candidate) if schedule.latching else candidate
+    new_level = max(level, candidate)
     return schedule.count_at(new_level), new_level
 
 
@@ -239,7 +230,7 @@ class _Run:
     start index followed by the counts of the steps taken so far."""
 
     trajectory: Trajectory
-    schedule: object
+    schedule: MediatorSchedule
     count: int
     node: tuple
     level: int = 0
@@ -268,7 +259,7 @@ class _Run:
         self.node = child
         if k == 0:
             trace.delta0 = delta
-        if self.schedule is not None and trace.delta0 > 0.0:
+        if trace.delta0 > 0.0:
             self.count, self.level = select_mediator_count(
                 delta, trace.delta0, self.level, self.schedule
             )
@@ -281,8 +272,8 @@ def run_scheduled_sampling(bundle, starts, labels, steps, schedules=(None,)):
     ``starts`` are the initial latents and ``labels`` their class labels.
     ``bundle`` supplies ``velocity(x, t, count, labels)``, over a stack
     of latents at one time with one label per row, and
-    ``step_flops(count)``; a None schedule runs every step at
-    ``bundle.default_count``. The displacement of each completed step
+    ``step_flops(count)``; a None schedule is the one-level schedule
+    of ``bundle.default_count``. The displacement of each completed step
     selects the mediator count for the next one. A first step that does
     not move the latent at all leaves the schedule at its starting level
     for the whole run, since relative thresholds are meaningless there.
@@ -308,11 +299,10 @@ def run_scheduled_sampling(bundle, starts, labels, steps, schedules=(None,)):
     latents = {(s,): np.array(x, dtype=np.float64) for s, x in enumerate(starts)}
     grid, runs = [], []
     for schedule in schedules:
-        if schedule is not None:
-            count, metric = schedule.start_count, schedule.metric
-        else:
-            count, metric = int(bundle.default_count), "l1"
-        row = [Trajectory(LatentTrace(metric=metric)) for _ in starts]
+        if schedule is None:
+            schedule = MediatorSchedule(int(bundle.default_count))
+        row = [Trajectory(LatentTrace(metric=schedule.metric)) for _ in starts]
+        count = schedule.start_count
         runs += [_Run(trajectory, schedule, count, (s,)) for s, trajectory in enumerate(row)]
         grid.append(row)
     for k in range(steps):

@@ -77,9 +77,6 @@ class MacCounter:
     def get(self, label):
         return self.counts.get(label, 0)
 
-    def total(self):
-        return sum(self.counts.values())
-
     def __repr__(self):
         inner = ", ".join(f"{k}={v}" for k, v in sorted(self.counts.items()))
         return f"MacCounter({inner})"
@@ -252,8 +249,10 @@ def backward(output, seed=None):
 
     ``seed`` defaults to all-ones of the output's shape. Returns a dict
     mapping each reachable leaf tensor with requires_grad to its gradient
-    array; the same arrays are also stored on ``.grad`` (overwriting any
-    previous value, no cross-call accumulation).
+    array. Every reached node with requires_grad, intermediates included,
+    gets its cotangent on ``.grad`` (overwriting any previous value, no
+    cross-call accumulation), so a step's cotangents live as long as its
+    graph.
     """
     _as_tensor(output, "backward")
     if output._record is None:

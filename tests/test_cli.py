@@ -364,13 +364,15 @@ def test_sweep_rejects_a_grid_it_cannot_build_before_writing_anything(tmp_path, 
     assert not out.exists()
 
 
-def test_sample_rejects_a_non_boolean_latching_flag(tmp_path, capsys):
+def test_sample_rejects_a_latching_key_before_writing_anything(tmp_path, capsys):
     path = tmp_path / "schedule.json"
-    path.write_text(json.dumps({"n1": 4, "latching": "false"}))
+    path.write_text(json.dumps({"n1": 4, "latching": True}))
     out = tmp_path / "run"
     assert main(["sample", "--schedule", str(path), "--out", str(out)]) == 2
-    assert capsys.readouterr().err.startswith("error: schedule latching must be true or false")
-    assert not list(out.glob("sample_*"))
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "schedule.latching" in err
+    assert not out.exists()
 
 
 def test_sample_rejects_a_schedule_key_typo_before_writing_anything(tmp_path, capsys):
@@ -722,13 +724,20 @@ def test_ill_typed_config_exits_2_before_writing(tmp_path, capsys, command, conf
          "no 100-token mediator grid fits inside 8x8"),
         ("bench", {"bench": {"sizes": []}}, [], "bench.sizes must name at least one size"),
         ("bench", {}, ["--sizes", "64,64"], "bench.sizes must not repeat a size, got [64, 64]"),
+        ("flops", {"flops": {"counts": []}}, [], "flops.counts must name at least one count"),
+        ("flops", {}, ["--n", ""], "flops.counts must name at least one count"),
+        ("flops", {}, ["--n", ",,"], "flops.counts must name at least one count"),
+        ("flops", {}, ["--n", "4,4"], "flops.counts must not repeat a count, got [4, 4]"),
+        ("flops", {"flops": {"counts": [16, 4, 16]}}, [],
+         "flops.counts must not repeat a count, got [16, 4, 16]"),
     ],
     ids=["negative-train-steps", "negative-samples", "zero-redundancy-samples", "zero-batch",
          "zero-reference-size", "negative-flops-layers", "one-extent-flops-grid",
          "three-extent-flops-grid", "zero-bench-size", "zero-bench-heads",
          "non-square-bench-size", "zero-flops-count", "out-of-grid-sweep-count",
          "out-of-grid-schedule-count", "out-of-grid-default-count", "no-bench-sizes",
-         "repeated-bench-size"],
+         "repeated-bench-size", "no-flops-counts", "empty-flops-flag", "commas-only-flops-flag",
+         "repeated-flops-flag", "repeated-flops-count"],
 )
 def test_out_of_range_config_exits_2_before_writing(tmp_path, capsys, command, config, flags, message):
     path = tmp_path / "config.json"

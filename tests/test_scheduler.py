@@ -106,19 +106,6 @@ def test_schedule_json_roundtrip():
         MediatorSchedule.from_json_dict({"levels": []})
 
 
-def test_non_latching_flag_survives_json():
-    schedule = MediatorSchedule(4, (ScheduleLevel(0.5, 16),), latching=False)
-    payload = schedule.to_json_dict()
-    assert payload["latching"] is False
-    assert MediatorSchedule.from_json_dict(payload) == schedule
-
-
-@pytest.mark.parametrize("latching", ["false", 0, None])
-def test_latching_must_be_a_json_boolean(latching):
-    with pytest.raises(ConfigError, match="latching"):
-        MediatorSchedule.from_json_dict({"n1": 4, "latching": latching})
-
-
 @pytest.mark.parametrize(
     "payload, message",
     [
@@ -137,11 +124,17 @@ def test_latching_must_be_a_json_boolean(latching):
         ({"n1": 4, "levels": {"rho": 0.5, "n": 16}}, "schedule.levels must be a list"),
         ({"n1": 4, "metric": 1}, "schedule.metric must be a string"),
         ([4], "schedule must be an object"),
+        ({"n1": 4, "latching": True}, "unknown schedule.latching"),
+        ({"n1": 4, "latching": False}, "unknown schedule.latching"),
+        ({"n1": 4, "latching": "false"}, "unknown schedule.latching"),
+        ({"n1": 4, "latching": 0}, "unknown schedule.latching"),
+        ({"n1": 4, "latching": None}, "unknown schedule.latching"),
     ],
     ids=[
         "typo-level", "unknown-level-key", "n1-fraction", "n1-whole-float", "n1-boolean",
         "n1-string", "n-float", "n-boolean", "rho-string", "rho-boolean", "level-without-rho",
         "level-not-object", "levels-not-list", "metric-not-string", "not-object",
+        "latching-true", "latching-false", "latching-string", "latching-zero", "latching-null",
     ],
 )
 def test_schedule_json_keys_and_types_follow_the_config_rules(payload, message):
@@ -189,11 +182,6 @@ def test_multi_level_jump_in_one_step():
 def test_latching_ignores_rebounds():
     schedule = MediatorSchedule(4, (ScheduleLevel(0.5, 16),))
     assert walk(schedule, [4.0, 9.0, 4.0], 10.0) == [16, 16, 16]
-
-
-def test_non_latching_follows_rebounds():
-    schedule = MediatorSchedule(4, (ScheduleLevel(0.5, 16),), latching=False)
-    assert walk(schedule, [4.0, 9.0, 4.0], 10.0) == [16, 4, 16]
 
 
 def test_selection_errors():
@@ -352,6 +340,14 @@ def test_no_schedule_uses_bundle_default():
     _, trace, _ = run_one(bundle, np.zeros((16, 8)), 2)
     assert trace.selected == [16, 16]
     assert trace.metric == "l1"
+    # An unscheduled run is the one-level schedule of the default count,
+    # on a bundle whose velocity depends on the count.
+    x0 = np.linspace(-1.0, 1.0, 16 * 8).reshape(16, 8)
+    x, trace, flops = run_one(FieldBundle(), x0, 4)
+    x_one, trace_one, flops_one = run_one(FieldBundle(), x0, 4, MediatorSchedule(1))
+    assert x.tobytes() == x_one.tobytes()
+    assert trace == trace_one and trace.to_csv() == trace_one.to_csv()
+    assert flops == flops_one
 
 
 def test_sampling_rejects_bad_step_count():

@@ -150,7 +150,7 @@ def test_matmul_counter_and_shape_error():
     counter = MacCounter()
     matmul(Tensor(np.ones((7, 5))), Tensor(np.ones((5, 3))), counter=counter, label="x")
     assert counter.get("x") == 7 * 5 * 3
-    assert counter.total() == 7 * 5 * 3
+    assert counter.counts == {"x": 7 * 5 * 3}
     with pytest.raises(DimensionError) as err:
         matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 2))))
     assert "(2, 3)" in str(err.value) and "(4, 2)" in str(err.value)
