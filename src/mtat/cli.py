@@ -70,8 +70,6 @@ def default_config():
         "sweep": {
             "rho_values": list(default_rho_values()),
             "counts": [4, 16, 64],
-            "metrics": ["l1"],
-            "two_level": True,
             "samples": 2,
             "steps": 6,
             "reference_size": 16,
@@ -195,9 +193,9 @@ def _resolve(args):
         inputs["schedule"] = schedule
     if command == "sweep":
         sweep = config["sweep"]
-        inputs["points"] = threshold_grid(
-            sweep["rho_values"], sweep["counts"], sweep["metrics"], sweep["two_level"]
-        )
+        inputs["points"] = threshold_grid(sweep["rho_values"], sweep["counts"])
+        _check_distinct(sweep["counts"], "sweep.counts", "count")
+        _check_distinct(sweep["rho_values"], "sweep.rho_values", "rho")
     ckpt = getattr(args, "ckpt", None)
     if ckpt:
         inputs["model"] = _read_input(
@@ -383,8 +381,7 @@ def cmd_sweep(config, out, model, points):
     results, failures = sweep_thresholds(points, evaluate)
     for point, exc in failures:
         print(
-            f"sweep point {point.index} (rho0={point.rho0}, rho1={point.rho1}, "
-            f"metric={point.metric}) failed: {exc}",
+            f"sweep point {point.index} (rho0={point.rho0}, rho1={point.rho1}) failed: {exc}",
             file=sys.stderr,
         )
     # A first step that moves no latent leaves every schedule at its first
@@ -396,6 +393,8 @@ def cmd_sweep(config, out, model, points):
         pareto_envelope([(cost, quality, point.index) for point, cost, quality in results])
     )
 
+    # The displacement is always the l1 distance; its `metric` column stays
+    # so the files keep their column layout.
     header = "rho0,rho1,metric,avg_gflops,quality,on_envelope"
 
     def rho1_text(point):
@@ -403,7 +402,7 @@ def cmd_sweep(config, out, model, points):
 
     def row(point, cost, quality):
         flag = 1 if point.index in envelope_ids else 0
-        return f"{repr(float(point.rho0))},{rho1_text(point)},{point.metric},{cost!r},{quality!r},{flag}"
+        return f"{repr(float(point.rho0))},{rho1_text(point)},l1,{cost!r},{quality!r},{flag}"
 
     lines = [header] + [row(*entry) for entry in results]
     write_text_atomic(os.path.join(out, "sweep.csv"), "\n".join(lines) + "\n")
@@ -416,7 +415,7 @@ def cmd_sweep(config, out, model, points):
     writer.writerow(["index", "rho0", "rho1", "metric", "error", "message"])
     for point, exc in failures:
         writer.writerow([
-            point.index, repr(float(point.rho0)), rho1_text(point), point.metric,
+            point.index, repr(float(point.rho0)), rho1_text(point), "l1",
             type(exc).__name__, str(exc),
         ])
     write_text_atomic(os.path.join(out, "failures.csv"), failure_text.getvalue())

@@ -27,30 +27,22 @@ from .errors import (
 )
 from .util import check_json
 
-METRICS = ("l1", "l2")
 # At most this many latents go through one model call of the sampler. On
 # the default model each row adds about 0.2 MB to a call's peak, and the
 # default sweep ran no faster with more rows per call.
 MAX_BATCH = 4
 
 
-def latent_distance(a, b, metric="l1"):
-    """Per-element displacement between two latent arrays.
-
-    "l1" is the mean absolute difference, "l2" the root mean square
-    difference. Both are invariant to latent size, and schedule
+def latent_distance(a, b):
+    """Per-element displacement between two latent arrays: the mean
+    absolute difference. It is invariant to latent size, and schedule
     decisions compare ratios, so the overall scale cancels anyway.
     """
     ad = np.asarray(a, dtype=np.float64)
     bd = np.asarray(b, dtype=np.float64)
     if ad.shape != bd.shape:
         raise DimensionError(f"latent shapes differ: {ad.shape} vs {bd.shape}")
-    diff = ad - bd
-    if metric == "l1":
-        return float(np.mean(np.abs(diff)))
-    if metric == "l2":
-        return float(np.sqrt(np.mean(diff * diff)))
-    raise ConfigError(f"unknown distance metric {metric!r}")
+    return float(np.mean(np.abs(ad - bd)))
 
 
 @dataclass(frozen=True)
@@ -74,14 +66,11 @@ class MediatorSchedule:
 
     start_count: int
     levels: tuple = ()
-    metric: str = "l1"
 
     def __post_init__(self):
         object.__setattr__(self, "levels", tuple(self.levels))
         if self.start_count < 1:
             raise ConfigError(f"start count must be positive, got {self.start_count}")
-        if self.metric not in METRICS:
-            raise ConfigError(f"metric must be one of {METRICS}, got {self.metric!r}")
         prev_rho, prev_count = None, self.start_count
         for level in self.levels:
             if not isinstance(level, ScheduleLevel):
@@ -111,7 +100,6 @@ class MediatorSchedule:
         return {
             "n1": self.start_count,
             "levels": [{"rho": lv.threshold, "n": lv.count} for lv in self.levels],
-            "metric": self.metric,
         }
 
     @classmethod
@@ -125,11 +113,11 @@ class MediatorSchedule:
             levels = tuple(ScheduleLevel(float(lv["rho"]), lv["n"]) for lv in levels)
         except KeyError as exc:
             raise ConfigError(f"malformed schedule: missing key {exc}") from exc
-        return cls(start, levels, payload.get("metric", "l1"))
+        return cls(start, levels)
 
 
 # Each schedule key's JSON type.
-_SCHEDULE_SHAPE = {"n1": 1, "levels": [{"rho": 0.0, "n": 1}], "metric": "l1"}
+_SCHEDULE_SHAPE = {"n1": 1, "levels": [{"rho": 0.0, "n": 1}]}
 
 
 def select_mediator_count(delta_t, delta0, level, schedule):
@@ -166,7 +154,6 @@ class LatentTrace:
     deltas: list = field(default_factory=list)
     selected: list = field(default_factory=list)
     step_macs: list = field(default_factory=list)
-    metric: str = "l1"
     delta0: float = 0.0
 
     def to_csv(self):
@@ -237,21 +224,20 @@ class _Run:
 
     def advance(self, k, stepped, latents, shared, bundle):
         """Record step ``k`` from the stepped nodes and pick the next
-        count. Runs at one node with one metric share its displacement
-        and MAC bill through ``shared``."""
+        count. Runs at one node share its displacement and MAC bill
+        through ``shared``."""
         child = self.node + (self.count,)
         x_next = stepped[child]
         if isinstance(x_next, Exception):
             raise x_next
         trace = self.trajectory.trace
         step_report = bundle.step_flops(self.count)
-        key = (child, trace.metric)
-        if key not in shared:
-            shared[key] = (
-                latent_distance(latents[self.node], x_next, trace.metric),
+        if child not in shared:
+            shared[child] = (
+                latent_distance(latents[self.node], x_next),
                 self.trajectory.flops + step_report,
             )
-        delta, self.trajectory.flops = shared[key]
+        delta, self.trajectory.flops = shared[child]
         trace.deltas.append(delta)
         trace.selected.append(self.count)
         trace.step_macs.append(step_report.total_macs)
@@ -280,14 +266,14 @@ def run_scheduled_sampling(bundle, starts, labels, steps, schedules=(None,)):
 
     From a fixed start the latent before step k depends only on the
     counts of steps 0..k-1, so runs whose schedules have picked the same
-    counts share it, whatever their metrics. Each step computes every
-    distinct (start, counts so far) node once: the nodes that run the
-    same count go through one ``bundle.velocity`` call of at most
-    ``MAX_BATCH`` rows, and the bundle must give each row the velocity
-    of its own one-row call. Each call checks the velocity's shape and
-    the new latents' finiteness; an error stops only the runs through
-    the node that raised it. A capturing bundle records one map set per
-    call, so it captures one run at a time.
+    counts share it, and with it the displacement and MAC bill of every
+    step so far. Each step computes every distinct (start, counts so far)
+    node once: the nodes that run the same count go through one
+    ``bundle.velocity`` call of at most ``MAX_BATCH`` rows, and the bundle
+    must give each row the velocity of its own one-row call. Each call
+    checks the velocity's shape and the new latents' finiteness; an error
+    stops only the runs through the node that raised it. A capturing
+    bundle records one map set per call, so it captures one run at a time.
 
     Returns one list per schedule of one Trajectory per start.
     """
@@ -301,7 +287,7 @@ def run_scheduled_sampling(bundle, starts, labels, steps, schedules=(None,)):
     for schedule in schedules:
         if schedule is None:
             schedule = MediatorSchedule(int(bundle.default_count))
-        row = [Trajectory(LatentTrace(metric=schedule.metric)) for _ in starts]
+        row = [Trajectory(LatentTrace()) for _ in starts]
         count = schedule.start_count
         runs += [_Run(trajectory, schedule, count, (s,)) for s, trajectory in enumerate(row)]
         grid.append(row)
@@ -345,7 +331,6 @@ class SweepPoint:
     index: int
     rho0: float
     rho1: object
-    metric: str
     schedule: MediatorSchedule
 
 
@@ -353,49 +338,37 @@ def default_rho_values():
     return tuple(round(1.0 - 0.1 * i, 1) for i in range(11))
 
 
-def threshold_grid(rho_values=None, counts=(4, 16, 64), metrics=("l1",), two_level=True):
+def threshold_grid(rho_values=None, counts=(4, 16, 64)):
     """Enumerate sweep points in a stable order.
 
-    For each metric: every (rho0, rho1) pair with rho1 <= rho0 builds a
-    three-level schedule over ``counts``; then, when ``two_level`` is
-    set, each rho0 alone builds a two-level schedule over the first two
-    counts. Requires three counts for the pair block. A pair with rho1 ==
-    rho0 means the middle level is unreachable, so it collapses to a
-    single level that jumps straight to the largest count. A grid with
-    no point is a ConfigError.
+    With three counts, every (rho0, rho1) pair with rho1 <= rho0 builds a
+    three-level schedule over ``counts``; then, always, each rho0 alone
+    builds a two-level schedule over the first two counts. A pair with
+    rho1 == rho0 means the middle level is unreachable, so it collapses to
+    a single level that jumps straight to the largest count. Fewer than
+    two or more than three counts, or no rho, is a ConfigError.
     """
     values = tuple(rho_values) if rho_values is not None else default_rho_values()
     counts = tuple(int(c) for c in counts)
-    if len(counts) < 2:
-        raise ConfigError("threshold_grid needs at least two mediator counts")
+    if len(counts) not in (2, 3):
+        raise ConfigError(f"threshold_grid needs two or three mediator counts, got {len(counts)}")
+    if not values:
+        raise ConfigError("sweep grid is empty: it needs a rho")
     points = []
-    for metric in metrics:
-        if len(counts) >= 3:
-            for rho0 in values:
-                for rho1 in values:
-                    if rho1 > rho0:
-                        continue
-                    if rho1 == rho0:
-                        levels = (ScheduleLevel(rho0, counts[2]),)
-                    else:
-                        levels = (
-                            ScheduleLevel(rho0, counts[1]),
-                            ScheduleLevel(rho1, counts[2]),
-                        )
-                    schedule = MediatorSchedule(
-                        start_count=counts[0], levels=levels, metric=metric
-                    )
-                    points.append(SweepPoint(len(points), rho0, rho1, metric, schedule))
-        if two_level:
-            for rho0 in values:
-                schedule = MediatorSchedule(
-                    start_count=counts[0],
-                    levels=(ScheduleLevel(rho0, counts[1]),),
-                    metric=metric,
-                )
-                points.append(SweepPoint(len(points), rho0, None, metric, schedule))
-    if not points:
-        raise ConfigError("sweep grid is empty: it needs a rho, a metric, and 3 counts or two_level")
+
+    def add(rho0, rho1, *levels):
+        schedule = MediatorSchedule(counts[0], levels)
+        points.append(SweepPoint(len(points), rho0, rho1, schedule))
+
+    if len(counts) == 3:
+        for rho0 in values:
+            for rho1 in values:
+                if rho1 == rho0:
+                    add(rho0, rho1, ScheduleLevel(rho0, counts[2]))
+                elif rho1 < rho0:
+                    add(rho0, rho1, ScheduleLevel(rho0, counts[1]), ScheduleLevel(rho1, counts[2]))
+    for rho0 in values:
+        add(rho0, None, ScheduleLevel(rho0, counts[1]))
     return points
 
 

@@ -345,15 +345,15 @@ def test_sweep_rejects_a_zero_sample_or_step_count_before_any_point_runs(tmp_pat
         assert not (out / name).exists()
 
 
-EMPTY_GRID = "sweep grid is empty: it needs a rho, a metric, and 3 counts or two_level"
-
-
 @pytest.mark.parametrize("sweep, message", [
-    ({"counts": [4]}, "threshold_grid needs at least two mediator counts"),
-    ({"metrics": ["l3"]}, "metric must be one of ('l1', 'l2'), got 'l3'"),
-    ({"metrics": []}, EMPTY_GRID),
-    ({"rho_values": []}, EMPTY_GRID),
-    ({"counts": [4, 16], "two_level": False}, EMPTY_GRID),
+    ({"counts": [4]}, "threshold_grid needs two or three mediator counts, got 1"),
+    ({"metrics": ["l3"]}, "unknown config key sweep.metrics"),
+    ({"metrics": ["l1"]}, "unknown config key sweep.metrics"),
+    ({"rho_values": []}, "sweep grid is empty: it needs a rho"),
+    ({"counts": [4, 16], "two_level": True}, "unknown config key sweep.two_level"),
+    ({"counts": [2, 4, 16, 64]}, "threshold_grid needs two or three mediator counts, got 4"),
+    ({"rho_values": [0.5, 0.5]}, "sweep.rho_values must not repeat a rho, got [0.5, 0.5]"),
+    ({"counts": [4, 4, 64]}, "sweep.counts must not repeat a count, got [4, 4, 64]"),
 ])
 def test_sweep_rejects_a_grid_it_cannot_build_before_writing_anything(tmp_path, capsys, sweep, message):
     path = tmp_path / "config.json"
@@ -481,7 +481,7 @@ def test_sweep_rows_match_uncached_per_point_sampling(trie_sweep):
     assert len(rows) == len(uncached) == 9
     for row, (point, cost, quality, _) in zip(rows, uncached):
         rho1 = "" if point.rho1 is None else repr(point.rho1)
-        assert row[:5] == [repr(point.rho0), rho1, point.metric, repr(cost), repr(quality)]
+        assert row[:5] == [repr(point.rho0), rho1, "l1", repr(cost), repr(quality)]
 
 
 def test_sweep_points_with_equal_count_traces_score_equal_quality(trie_sweep):
@@ -572,24 +572,6 @@ def test_a_failing_model_call_fails_only_the_points_through_its_node(
     assert [row[:5] for row in rows] == kept
 
 
-def test_two_metric_sweep_rows_match_single_metric_sweeps(tmp_path, micro_ckpt):
-    # Runs of both metrics share the steps whose counts agree. Over six
-    # steps the l1 and l2 displacement ratios cross the grid's thresholds at
-    # different steps, so a sampler that mixed them up would change the l2
-    # rows.
-    def rows(metrics):
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps(dict(
-            MICRO_GRID_CONFIG,
-            sweep=dict(MICRO_GRID_CONFIG["sweep"], steps=6, metrics=metrics),
-        )))
-        out = tmp_path / "-".join(metrics)
-        assert main(["sweep", "--config", str(path), "--ckpt", micro_ckpt, "--out", str(out)]) == 0
-        return [row[:5] for row in read_csv(out / "sweep.csv")[1]]
-
-    assert rows(["l1", "l2"]) == rows(["l1"]) + rows(["l2"])
-
-
 # ---------------------------------------------------------------------------
 # flops
 
@@ -665,8 +647,7 @@ def test_bench_records_its_repeats(tmp_path, config_path):
     [
         ("sweep", {"sweep": {"rho_values": ["1.0", "0.5"]}}, [],
          "config key sweep.rho_values[0] must be a number, got '1.0'"),
-        ("sweep", {"sweep": {"two_level": "false"}}, [],
-         "config key sweep.two_level must be a boolean, got 'false'"),
+        ("sweep", {"sweep": {"two_level": "false"}}, [], "unknown config key sweep.two_level"),
         ("train", {"model": {"grid": "88"}}, ["--steps", "0"],
          "config key model.grid must be a list, got '88'"),
         ("train", {"model": {"grid": [8, 8, 3]}}, ["--steps", "0"],

@@ -624,7 +624,7 @@ def test_lockstep_samples_equal_samples_drawn_one_at_a_time(monkeypatch):
     schedules = [
         None,
         MediatorSchedule(1, (ScheduleLevel(0.9, 4), ScheduleLevel(0.5, 16))),
-        MediatorSchedule(1, (ScheduleLevel(0.7, 16),), metric="l2"),
+        MediatorSchedule(1, (ScheduleLevel(0.8, 16),)),
     ]
     labels = [0, 1, 1]
     grid = euler_samples(model, labels, 5, seed=8, schedules=schedules)

@@ -42,29 +42,24 @@ def walk(schedule, deltas, delta0):
 
 def test_distance_zero_for_equal_inputs():
     x = np.arange(6.0).reshape(2, 3)
-    assert latent_distance(x, x, "l1") == 0.0
-    assert latent_distance(x, x, "l2") == 0.0
+    assert latent_distance(x, x) == 0.0
 
 
 def test_distance_constant_field():
     a = np.zeros((4, 5))
     b = np.full((4, 5), -2.5)
-    assert latent_distance(a, b, "l1") == 2.5
-    assert abs(latent_distance(a, b, "l2") - 2.5) <= 1e-15
+    assert latent_distance(a, b) == 2.5
 
 
 def test_distance_hand_values():
     a = np.array([0.0, 0.0])
     b = np.array([3.0, 4.0])
-    assert latent_distance(a, b, "l1") == 3.5
-    assert abs(latent_distance(a, b, "l2") - np.sqrt(12.5)) <= 1e-15
+    assert latent_distance(a, b) == 3.5
 
 
 def test_distance_shape_and_metric_errors():
     with pytest.raises(DimensionError):
         latent_distance(np.zeros(3), np.zeros(4))
-    with pytest.raises(ConfigError):
-        latent_distance(np.zeros(3), np.zeros(3), metric="cosine")
 
 
 # ---------------------------------------------------------------------------
@@ -83,24 +78,17 @@ def test_schedule_validation():
         MediatorSchedule(4, (ScheduleLevel(0.5, 16), ScheduleLevel(0.5, 64)))
     with pytest.raises(ConfigError):
         MediatorSchedule(16, (ScheduleLevel(0.5, 4),))  # counts may not shrink
-    with pytest.raises(ConfigError):
-        MediatorSchedule(4, (ScheduleLevel(0.5, 16),), metric="l3")
 
 
 def test_schedule_json_roundtrip():
-    schedule = MediatorSchedule(
-        4, (ScheduleLevel(0.6, 16), ScheduleLevel(0.3, 64)), metric="l2"
-    )
+    schedule = MediatorSchedule(4, (ScheduleLevel(0.6, 16), ScheduleLevel(0.3, 64)))
     payload = schedule.to_json_dict()
-    assert payload == {
-        "n1": 4,
-        "levels": [{"rho": 0.6, "n": 16}, {"rho": 0.3, "n": 64}],
-        "metric": "l2",
-    }
+    assert set(payload) == {"n1", "levels"}
+    assert payload == {"n1": 4, "levels": [{"rho": 0.6, "n": 16}, {"rho": 0.3, "n": 64}]}
     assert MediatorSchedule.from_json_dict(payload) == schedule
 
     loose = MediatorSchedule.from_json_dict({"n1": 8})
-    assert loose.start_count == 8 and loose.levels == () and loose.metric == "l1"
+    assert loose.start_count == 8 and loose.levels == ()
 
     with pytest.raises(ConfigError):
         MediatorSchedule.from_json_dict({"levels": []})
@@ -122,7 +110,8 @@ def test_schedule_json_roundtrip():
         ({"n1": 4, "levels": [{"n": 16}]}, "missing key 'rho'"),
         ({"n1": 4, "levels": [[0.5, 16]]}, "must be an object"),
         ({"n1": 4, "levels": {"rho": 0.5, "n": 16}}, "schedule.levels must be a list"),
-        ({"n1": 4, "metric": 1}, "schedule.metric must be a string"),
+        ({"n1": 4, "metric": "l1"}, "unknown schedule.metric"),
+        ({"n1": 4, "metric": 1}, "unknown schedule.metric"),
         ([4], "schedule must be an object"),
         ({"n1": 4, "latching": True}, "unknown schedule.latching"),
         ({"n1": 4, "latching": False}, "unknown schedule.latching"),
@@ -133,7 +122,8 @@ def test_schedule_json_roundtrip():
     ids=[
         "typo-level", "unknown-level-key", "n1-fraction", "n1-whole-float", "n1-boolean",
         "n1-string", "n-float", "n-boolean", "rho-string", "rho-boolean", "level-without-rho",
-        "level-not-object", "levels-not-list", "metric-not-string", "not-object",
+        "level-not-object", "levels-not-list", "metric-l1", "metric-not-string",
+        "not-object",
         "latching-true", "latching-false", "latching-string", "latching-zero", "latching-null",
     ],
 )
@@ -258,7 +248,7 @@ class ScriptedBundle:
     """Bundle whose per-step displacement follows a given script.
 
     The velocity is a constant field sized so step k moves the latent by
-    exactly ``deltas[k]`` under both distance metrics, which exercises
+    exactly ``deltas[k]`` under ``latent_distance``, which exercises
     schedules without a trained model.
     """
 
@@ -339,7 +329,6 @@ def test_no_schedule_uses_bundle_default():
     bundle = scripted([1.0, 1.0], steps=2, default_count=16)
     _, trace, _ = run_one(bundle, np.zeros((16, 8)), 2)
     assert trace.selected == [16, 16]
-    assert trace.metric == "l1"
     # An unscheduled run is the one-level schedule of the default count,
     # on a bundle whose velocity depends on the count.
     x0 = np.linspace(-1.0, 1.0, 16 * 8).reshape(16, 8)
@@ -392,7 +381,7 @@ class FieldBundle:
 LOCKSTEP_SCHEDULES = [
     None,
     MediatorSchedule(1, (ScheduleLevel(0.9, 4), ScheduleLevel(0.5, 16))),
-    MediatorSchedule(1, (ScheduleLevel(0.8, 16),), metric="l2"),
+    MediatorSchedule(1, (ScheduleLevel(0.8, 16),)),
     MediatorSchedule(4, (ScheduleLevel(0.6, 16),)),
 ]
 
@@ -416,7 +405,7 @@ def test_lockstep_runs_equal_their_single_runs_and_share_steps():
             assert (trace, flops) == (alone_trace, alone_flops)
             nodes |= {(s, tuple(trace.selected[:k])) for k in range(1, 6)}
     assert len(set(tuple(run.trace.selected) for row in grid for run in row)) > 2
-    # One row per distinct (start, counts so far) node, whatever the metric;
+    # One row per distinct (start, counts so far) node;
     # each step makes one call per count, of at most MAX_BATCH rows.
     assert sum(rows for _, rows in bundle.calls) == len(nodes) < 5 * 2 * len(LOCKSTEP_SCHEDULES)
     assert max(rows for _, rows in bundle.calls) <= MAX_BATCH
@@ -495,20 +484,13 @@ def test_grid_tie_points_collapse_to_a_jump_schedule():
     assert solo.schedule.levels == (ScheduleLevel(0.5, 16),)
 
 
-def test_grid_two_metrics_doubles_the_count():
-    points = threshold_grid(metrics=("l1", "l2"))
-    assert len(points) == 154
-    assert sum(1 for p in points if p.metric == "l2") == 77
-
-
-def test_grid_without_two_level_block():
-    points = threshold_grid(two_level=False)
-    assert len(points) == 66
-
-
 def test_grid_needs_enough_counts():
     with pytest.raises(ConfigError):
         threshold_grid(counts=(4,))
+    with pytest.raises(ConfigError):
+        threshold_grid(counts=(4, 16, 64, 256))
+    with pytest.raises(ConfigError, match="sweep grid is empty"):
+        threshold_grid(rho_values=())
     # two counts: no pair block, only the solo sweep
     points = threshold_grid(counts=(4, 16))
     assert len(points) == 11
@@ -520,7 +502,7 @@ def test_grid_needs_enough_counts():
 
 
 def test_sweep_single_point_passthrough():
-    points = threshold_grid(rho_values=(0.5,), counts=(4, 16), two_level=True)
+    points = threshold_grid(rho_values=(0.5,), counts=(4, 16))
     results, failures = sweep_thresholds(points, lambda p: (1.5, 2.5))
     assert failures == []
     assert results == [(points[0], 1.5, 2.5)]
