@@ -19,7 +19,6 @@ import numpy as np
 
 from .errors import ConfigError, DimensionError, NumericError, UsageError
 from .tensor import (
-    MacCounter,
     Tensor,
     _row_dot,
     add,

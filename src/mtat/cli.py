@@ -370,7 +370,7 @@ def cmd_sweep(config, out, model, points):
             latent, trace, flops = run.result()
             latents.append(latent)
             flops_total += flops.total_flops
-            first_deltas.add(trace.delta0)
+            first_deltas.add(trace.deltas[0])
         cost = (flops_total / per_point_samples) / 1e9
         stack = np.stack(latents)
         key = stack.tobytes()

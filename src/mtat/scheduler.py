@@ -2,10 +2,11 @@
 
 Early denoising steps move the latent most and set only coarse layout,
 so their query-key interactions are the most redundant: few mediators
-serve them. The schedule starts at its smallest count and advances to
+serve them. The schedule starts at its smallest count and moves to
 larger ones as the per-step displacement, relative to the first step's,
-decays below configured fractions. A level once reached is kept, so
-counts never shrink and a noisy uptick never drops capacity back down.
+decays below configured fractions. The next count is the larger of the
+count held and the counts whose fraction has been crossed, so counts
+never shrink and a noisy uptick never drops capacity back down.
 
 Also hosts the sweep machinery for exploring threshold grids and the
 Pareto envelope over (cost, quality) points.
@@ -87,15 +88,6 @@ class MediatorSchedule:
                 )
             prev_rho, prev_count = level.threshold, level.count
 
-    @property
-    def level_count(self):
-        return len(self.levels) + 1
-
-    def count_at(self, level):
-        if not (0 <= level <= len(self.levels)):
-            raise DomainError(f"level {level} outside schedule with {self.level_count} levels")
-        return self.start_count if level == 0 else self.levels[level - 1].count
-
     def to_json_dict(self):
         return {
             "n1": self.start_count,
@@ -120,15 +112,15 @@ class MediatorSchedule:
 _SCHEDULE_SHAPE = {"n1": 1, "levels": [{"rho": 0.0, "n": 1}]}
 
 
-def select_mediator_count(delta_t, delta0, level, schedule):
+def select_mediator_count(delta_t, delta0, count, schedule):
     """Pick the mediator count for the next step.
 
     ``delta_t`` is the latest step displacement, ``delta0`` the first
-    step's, ``level`` the current schedule level. Crossing threshold i
-    (delta_t <= rho_i * delta0, boundary inclusive) makes level i+1
-    eligible; thresholds decrease, so the eligible set is a prefix and
-    the deepest crossed level wins, possibly advancing several levels in
-    one step. A level once reached is kept. Returns (count, new_level).
+    step's, ``count`` the count held. Crossing a level's threshold
+    (delta_t <= rho * delta0, boundary inclusive) makes its count
+    eligible, and the largest of ``count`` and the eligible counts is
+    returned: several levels may be passed in one step, and a count once
+    reached is kept.
     """
     if delta0 <= 0.0:
         raise DegenerateTrajectoryError(
@@ -136,14 +128,7 @@ def select_mediator_count(delta_t, delta0, level, schedule):
         )
     if delta_t < 0.0 or not math.isfinite(delta_t) or not math.isfinite(delta0):
         raise DomainError(f"displacements must be finite and non-negative: {delta_t}, {delta0}")
-    if not (0 <= level < schedule.level_count):
-        raise DomainError(f"level {level} outside schedule with {schedule.level_count} levels")
-    candidate = 0
-    for idx, rule in enumerate(schedule.levels):
-        if delta_t <= rule.threshold * delta0:
-            candidate = idx + 1
-    new_level = max(level, candidate)
-    return schedule.count_at(new_level), new_level
+    return max([count] + [lv.count for lv in schedule.levels if delta_t <= lv.threshold * delta0])
 
 
 @dataclass
@@ -154,7 +139,6 @@ class LatentTrace:
     deltas: list = field(default_factory=list)
     selected: list = field(default_factory=list)
     step_macs: list = field(default_factory=list)
-    delta0: float = 0.0
 
     def to_csv(self):
         lines = ["step,delta,n_t,step_macs"]
@@ -167,9 +151,10 @@ class LatentTrace:
 @dataclass
 class Trajectory:
     """One (schedule, start) run of ``run_scheduled_sampling``: its
-    per-step trace, final latent and summed MAC bill, or the error that
-    stopped it. The latent is read-only and may be shared with other
-    runs that picked the same counts."""
+    per-step trace, final latent and summed MAC bill. The latent is
+    read-only and may be shared with other runs that picked the same
+    counts. A failed run holds the error that stopped it, the trace and
+    bill of the steps it finished, and no latent."""
 
     trace: LatentTrace
     latent: object = None
@@ -213,42 +198,25 @@ def _step_rows(bundle, rows, labels, k, steps, count):
 
 @dataclass
 class _Run:
-    """A trajectory in progress: its schedule state and its node, the
-    start index followed by the counts of the steps taken so far."""
+    """A run in progress: its schedule, the count of its next step, its
+    node (the start index followed by the counts of the steps taken so
+    far) and the error that stopped it."""
 
-    trajectory: Trajectory
     schedule: MediatorSchedule
     count: int
     node: tuple
-    level: int = 0
+    error: Exception = None
 
-    def advance(self, k, stepped, latents, shared, bundle):
-        """Record step ``k`` from the stepped nodes and pick the next
-        count. Runs at one node share its displacement and MAC bill
-        through ``shared``."""
-        child = self.node + (self.count,)
-        x_next = stepped[child]
-        if isinstance(x_next, Exception):
-            raise x_next
-        trace = self.trajectory.trace
-        step_report = bundle.step_flops(self.count)
-        if child not in shared:
-            shared[child] = (
-                latent_distance(latents[self.node], x_next),
-                self.trajectory.flops + step_report,
-            )
-        delta, self.trajectory.flops = shared[child]
-        trace.deltas.append(delta)
-        trace.selected.append(self.count)
-        trace.step_macs.append(step_report.total_macs)
-        self.trajectory.latent = x_next
-        self.node = child
-        if k == 0:
-            trace.delta0 = delta
-        if trace.delta0 > 0.0:
-            self.count, self.level = select_mediator_count(
-                delta, trace.delta0, self.level, self.schedule
-            )
+    def trajectory(self, latents, deltas, bills, bundle):
+        """The run's Trajectory, read from the tables of its node."""
+        counts = self.node[1:]
+        trace = LatentTrace(
+            [deltas[self.node[:i]] for i in range(2, len(self.node) + 1)],
+            list(counts),
+            [bundle.step_flops(count).total_macs for count in counts],
+        )
+        latent = latents[self.node] if self.error is None else None
+        return Trajectory(trace, latent, bills[self.node], self.error)
 
 
 def run_scheduled_sampling(bundle, starts, labels, steps, schedules=(None,)):
@@ -261,14 +229,16 @@ def run_scheduled_sampling(bundle, starts, labels, steps, schedules=(None,)):
     ``step_flops(count)``; a None schedule is the one-level schedule
     of ``bundle.default_count``. The displacement of each completed step
     selects the mediator count for the next one. A first step that does
-    not move the latent at all leaves the schedule at its starting level
+    not move the latent at all leaves the schedule at its start count
     for the whole run, since relative thresholds are meaningless there.
 
     From a fixed start the latent before step k depends only on the
     counts of steps 0..k-1, so runs whose schedules have picked the same
     counts share it, and with it the displacement and MAC bill of every
-    step so far. Each step computes every distinct (start, counts so far)
-    node once: the nodes that run the same count go through one
+    step so far. A run is its node, the start index followed by those
+    counts, and the count of its next step. Each step computes every
+    distinct node once, recording its latent, its last displacement and
+    its summed bill: the nodes that run the same count go through one
     ``bundle.velocity`` call of at most ``MAX_BATCH`` rows, and the bundle
     must give each row the velocity of its own one-row call. Each call
     checks the velocity's shape and the new latents' finiteness; an error
@@ -283,16 +253,15 @@ def run_scheduled_sampling(bundle, starts, labels, steps, schedules=(None,)):
     if len(starts) != len(labels):
         raise DimensionError(f"{len(labels)} labels for {len(starts)} starting latents")
     latents = {(s,): np.array(x, dtype=np.float64) for s, x in enumerate(starts)}
-    grid, runs = [], []
+    deltas, bills = {}, {node: FlopsReport() for node in latents}
+    grid = []
     for schedule in schedules:
         if schedule is None:
             schedule = MediatorSchedule(int(bundle.default_count))
-        row = [Trajectory(LatentTrace()) for _ in starts]
-        count = schedule.start_count
-        runs += [_Run(trajectory, schedule, count, (s,)) for s, trajectory in enumerate(row)]
-        grid.append(row)
+        grid.append([_Run(schedule, schedule.start_count, node) for node in latents])
+    runs = [run for row in grid for run in row]
     for k in range(steps):
-        live = [run for run in runs if run.trajectory.error is None]
+        live = [run for run in runs if run.error is None]
         groups = {}  # count -> the nodes that step at it, in first-seen order
         for run in live:
             groups.setdefault(run.count, {})[run.node] = None
@@ -306,15 +275,24 @@ def run_scheduled_sampling(bundle, starts, labels, steps, schedules=(None,)):
                     [labels[node[0]] for node in chunk], k, steps, count,
                 )
                 for node, out in zip(chunk, outs):
-                    stepped[node + (count,)] = out
-        shared = {}
+                    child = node + (count,)
+                    stepped[child] = out
+                    if not isinstance(out, Exception):
+                        deltas[child] = latent_distance(latents[node], out)
+                        bills[child] = bills[node] + bundle.step_flops(count)
         for run in live:
-            try:
-                run.advance(k, stepped, latents, shared, bundle)
-            except Exception as exc:  # noqa: BLE001 - runs fail independently
-                run.trajectory.error = exc
+            child = run.node + (run.count,)
+            if isinstance(stepped[child], Exception):
+                run.error = stepped[child]
+                continue
+            run.node, delta0 = child, deltas[child[:2]]
+            if delta0 > 0.0:
+                try:
+                    run.count = select_mediator_count(deltas[child], delta0, run.count, run.schedule)
+                except Exception as exc:  # noqa: BLE001 - runs fail independently
+                    run.error = exc
         latents = stepped
-    return grid
+    return [[run.trajectory(latents, deltas, bills, bundle) for run in row] for row in grid]
 
 
 # ---------------------------------------------------------------------------

@@ -447,19 +447,19 @@ def test_criterion_08_schedule_fixtures_and_invariances(capsys):
     started = time.perf_counter()
 
     def walk(schedule, deltas, delta0):
-        level, seen = 0, []
+        count, seen = schedule.start_count, []
         for delta in deltas:
-            count, level = select_mediator_count(delta, delta0, level, schedule)
+            count = select_mediator_count(delta, delta0, count, schedule)
             seen.append(count)
         return seen
 
     two = MediatorSchedule(16, (ScheduleLevel(0.5, 64),))
     fixture_a = (
-        select_mediator_count(7.0, 10.0, 0, two)[0] == 16
-        and select_mediator_count(5.0, 10.0, 0, two)[0] == 64
+        select_mediator_count(7.0, 10.0, 16, two) == 16
+        and select_mediator_count(5.0, 10.0, 16, two) == 64
     )
     unit = MediatorSchedule(4, (ScheduleLevel(1.0, 16),))
-    fixture_b = select_mediator_count(10.0, 10.0, 0, unit)[0] == 16
+    fixture_b = select_mediator_count(10.0, 10.0, 4, unit) == 16
     three = MediatorSchedule(4, (ScheduleLevel(0.6, 16), ScheduleLevel(0.3, 64)))
     fixture_c = walk(three, [8.0, 5.0, 2.0], 10.0) == [4, 16, 64]
 

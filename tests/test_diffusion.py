@@ -590,7 +590,6 @@ def test_untrained_model_sample_returns_the_noise():
     noise = stream_rng(9, "sampling", 0).standard_normal((16, 1))
     assert np.array_equal(image_from_tokens(result.latent, MICRO), image_from_tokens(noise, MICRO))
     assert result.trace.deltas == [0.0, 0.0, 0.0, 0.0]
-    assert result.trace.delta0 == 0.0
 
 
 def test_sampling_is_bit_reproducible():

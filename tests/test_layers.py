@@ -1,5 +1,6 @@
 """Module boundaries: the score and the scheduler take plain arrays, so
-neither reads the tape, and the score does not read attention captures."""
+neither reads the tape, and the score does not read attention captures.
+No module imports a name it never uses."""
 
 import ast
 from pathlib import Path
@@ -37,3 +38,22 @@ def test_import_reader_resolves_relative_imports():
 )
 def test_array_layers_do_not_import_the_tape_or_the_capture_type(name, forbidden):
     assert imported_modules(name) & forbidden == set()
+
+
+def unused_imports(name):
+    """Names that ``mtat.<name>`` imports and never reads."""
+    tree = ast.parse((PACKAGE / f"{name}.py").read_text(encoding="utf-8"))
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(bound - read)
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # The package's __init__ imports names only to re-export them.
+    modules = sorted(path.stem for path in PACKAGE.glob("*.py") if path.stem != "__init__")
+    assert {"attention", "scheduler", "tensor"} <= set(modules)
+    unused = {name: unused_imports(name) for name in modules}
+    assert {name: names for name, names in unused.items() if names} == {}

@@ -28,10 +28,10 @@ from mtat.scheduler import (
 
 def walk(schedule, deltas, delta0):
     """Feed a displacement sequence through the selector, like the sampler does."""
-    level = 0
+    count = schedule.start_count
     counts = []
     for delta in deltas:
-        count, level = select_mediator_count(delta, delta0, level, schedule)
+        count = select_mediator_count(delta, delta0, count, schedule)
         counts.append(count)
     return counts
 
@@ -144,18 +144,15 @@ def test_schedule_json_takes_integer_thresholds():
 
 def test_two_level_boundary_fixture():
     schedule = MediatorSchedule(16, (ScheduleLevel(0.5, 64),))
-    count, level = select_mediator_count(7.0, 10.0, 0, schedule)
-    assert (count, level) == (16, 0)
-    count, level = select_mediator_count(5.0, 10.0, 0, schedule)
-    assert (count, level) == (64, 1)  # boundary is inclusive
+    assert select_mediator_count(7.0, 10.0, 16, schedule) == 16
+    assert select_mediator_count(5.0, 10.0, 16, schedule) == 64  # boundary is inclusive
+    assert select_mediator_count(7.0, 10.0, 64, schedule) == 64  # a count once reached is kept
 
 
 def test_unit_threshold_switches_immediately():
     schedule = MediatorSchedule(4, (ScheduleLevel(1.0, 16),))
-    count, _ = select_mediator_count(10.0, 10.0, 0, schedule)
-    assert count == 16
-    count, _ = select_mediator_count(10.0000001, 10.0, 0, schedule)
-    assert count == 4
+    assert select_mediator_count(10.0, 10.0, 4, schedule) == 16
+    assert select_mediator_count(10.0000001, 10.0, 4, schedule) == 4
 
 
 def test_three_level_walk_fixture():
@@ -165,8 +162,7 @@ def test_three_level_walk_fixture():
 
 def test_multi_level_jump_in_one_step():
     schedule = MediatorSchedule(4, (ScheduleLevel(0.6, 16), ScheduleLevel(0.3, 64)))
-    count, level = select_mediator_count(1.0, 10.0, 0, schedule)
-    assert (count, level) == (64, 2)
+    assert select_mediator_count(1.0, 10.0, 4, schedule) == 64
 
 
 def test_latching_ignores_rebounds():
@@ -177,13 +173,11 @@ def test_latching_ignores_rebounds():
 def test_selection_errors():
     schedule = MediatorSchedule(4, (ScheduleLevel(0.5, 16),))
     with pytest.raises(DegenerateTrajectoryError):
-        select_mediator_count(1.0, 0.0, 0, schedule)
+        select_mediator_count(1.0, 0.0, 4, schedule)
     with pytest.raises(DomainError):
-        select_mediator_count(-1.0, 10.0, 0, schedule)
+        select_mediator_count(-1.0, 10.0, 4, schedule)
     with pytest.raises(DomainError):
-        select_mediator_count(float("nan"), 10.0, 0, schedule)
-    with pytest.raises(DomainError):
-        select_mediator_count(1.0, 10.0, 7, schedule)
+        select_mediator_count(float("nan"), 10.0, 4, schedule)
 
 
 def test_matches_pointwise_two_threshold_oracle():
@@ -229,6 +223,30 @@ def test_latching_monotone_and_scale_invariant_on_random_walks():
         for factor in (1e-6, 1e6):
             scaled = walk(schedule, deltas * factor, delta0 * factor)
             assert scaled == selected
+
+
+def test_walks_match_the_level_oracle_when_levels_repeat_counts():
+    # The validation lets neighbouring levels share a count. Oracle: the
+    # level rule, level = max(level, deepest crossed), count = counts[level].
+    rng = np.random.default_rng(82)
+    for _ in range(1000):
+        thresholds = np.unique(rng.uniform(0.05, 0.95, size=int(rng.integers(1, 5))))[::-1]
+        rises = rng.integers(0, 3, size=len(thresholds) + 1)
+        rises[rng.integers(1, len(rises))] = 0  # at least one repeated count
+        counts = [int(c) for c in 1 + np.cumsum(rises)]
+        schedule = MediatorSchedule(
+            counts[0],
+            tuple(ScheduleLevel(float(t), c) for t, c in zip(thresholds, counts[1:])),
+        )
+        delta0 = float(rng.uniform(0.1, 100.0))
+        pool = np.concatenate([rng.uniform(0.0, 1.5 * delta0, size=8), thresholds * delta0])
+        deltas = rng.choice(pool, size=int(rng.integers(1, 20)))
+        level, want = 0, []
+        for d in deltas:
+            crossed = [i + 1 for i, t in enumerate(thresholds) if d <= t * delta0]
+            level = max([level] + crossed)
+            want.append(counts[level])
+        assert walk(schedule, deltas, delta0) == want
 
 
 def test_strictly_decreasing_deltas_visit_every_level():
@@ -288,7 +306,7 @@ def test_single_level_constant_count_and_flops():
     assert trace.selected == [4, 4, 4, 4]
     per_step = bundle.step_flops(4)
     assert flops == per_step.times(4)
-    assert trace.delta0 == 5.0
+    assert trace.deltas[0] == 5.0
     assert x.shape == (16, 8)
 
 
@@ -320,7 +338,7 @@ def test_frozen_first_step_stays_at_start_level():
     bundle = scripted([0.0, 0.0, 0.0], steps=3, default_count=2)
     schedule = MediatorSchedule(2, (ScheduleLevel(0.5, 8),))
     x, trace, _ = run_one(bundle, np.ones((16, 8)), 3, schedule)
-    assert trace.delta0 == 0.0
+    assert trace.deltas[0] == 0.0
     assert trace.selected == [2, 2, 2]
     assert np.array_equal(x, np.ones((16, 8)))
 
@@ -435,6 +453,30 @@ def test_a_failing_row_stops_only_the_runs_through_it():
     assert failed == 2
 
 
+def test_a_failed_run_keeps_the_trace_and_bill_of_its_finished_steps():
+    clean, _ = lockstep(FieldBundle())
+    broken, _ = lockstep(FieldBundle(fail_label=1, fail_count=4))
+    failed_at = []
+    for clean_row, broken_row in zip(clean, broken):
+        good, run = clean_row[1], broken_row[1]
+        if 4 not in good.trace.selected:
+            continue
+        k = good.trace.selected.index(4)
+        failed_at.append(k)
+        assert isinstance(run.error, NumericError) and run.latent is None
+        assert run.trace.selected == good.trace.selected[:k]
+        assert run.trace.deltas == good.trace.deltas[:k]
+        assert run.trace.step_macs == good.trace.step_macs[:k]
+    # One run fails at its first step, one after steps it finished.
+    assert sorted(failed_at)[0] == 0 and sorted(failed_at)[1] > 0
+    # Every bill, failed or not, is the sum over the counts it ran.
+    for run in [run for row in clean + broken for run in row]:
+        bill = FlopsReport()
+        for count in run.trace.selected:
+            bill = bill + FieldBundle().step_flops(count)
+        assert run.flops == bill
+
+
 def test_a_diverging_row_fails_alone():
     class Diverging(FieldBundle):
         def velocity(self, x, t, count, labels):
@@ -456,7 +498,7 @@ def test_lockstep_needs_one_label_per_start():
 
 def test_latent_trace_defaults():
     trace = LatentTrace()
-    assert trace.deltas == [] and trace.selected == [] and trace.delta0 == 0.0
+    assert trace.deltas == [] and trace.selected == []
 
 
 # ---------------------------------------------------------------------------
