@@ -17,10 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, NumericError, UsageError
+from .errors import ConfigError, DimensionError, UsageError
+from .redundancy import _check_rows
 from .tensor import (
     Tensor,
-    _row_dot,
     add,
     adaptive_avg_pool2d,
     attend,
@@ -128,15 +128,6 @@ class MultiHeadParams:
         return cls(draw(), draw(), draw(), draw())
 
 
-def _check_rows_stochastic(array, what):
-    sums = _row_dot(array, 1.0)
-    worst = float(np.abs(sums - 1.0).max()) if sums.size else 0.0
-    if not worst <= _ROW_SUM_TOL:  # a NaN entry makes worst NaN
-        raise NumericError(f"{what} rows deviate from sum 1 by {worst:.3e}")
-    if float(array.min(initial=0.0)) < 0.0:
-        raise NumericError(f"{what} contains negative weights")
-
-
 def _map_stack(arrays, what):
     """Per-head row-stochastic matrices as one read-only float64 (heads,
     rows, cols) stack: a float64 array is viewed, not copied, and a list
@@ -149,7 +140,7 @@ def _map_stack(arrays, what):
         raise DimensionError(f"{what} differ in shape from head to head") from exc
     if stack.ndim != 3:
         raise DimensionError(f"{what} must be matrices, got shape {stack.shape[1:]}")
-    _check_rows_stochastic(stack, what)
+    _check_rows(stack, what, _ROW_SUM_TOL)
     stack.flags.writeable = False
     return stack
 
@@ -186,10 +177,6 @@ class AttentionMaps:
                 )
         else:
             raise UsageError(f"unknown attention map kind {kind!r}")
-
-    @property
-    def head_count(self):
-        return len(self.heads if self.kind == "full" else self.query_to_mediator)
 
     @classmethod
     def full(cls, heads):
@@ -235,7 +222,7 @@ def vanilla_attention_head(q, k, v, counter=None, heads=1):
     side in the last axis, over any leading axes of samples.
 
     Returns the heads' outputs, side by side again, and the attention
-    map, a record-less tensor over a read-only array.
+    map as a read-only array.
     """
     inv_sqrt = 1.0 / math.sqrt(q.shape[-1] // heads)
     return attend(q, k, v, inv_sqrt, counter, LABEL_INTERACTION, heads)
@@ -252,7 +239,7 @@ def multi_head_attention(z, params, cfg, counter=None):
     head_out, attn = vanilla_attention_head(*project_qkv(z, params, counter), counter, cfg.heads)
     out = matmul(head_out, params.w_out, counter, LABEL_OUT)
     n = cfg.n_tokens
-    return out, AttentionMaps.full(attn.data.reshape(-1, n, n))
+    return out, AttentionMaps.full(attn.reshape(-1, n, n))
 
 
 def make_mediators(q, cfg, mcfg, counter=None):
@@ -282,7 +269,7 @@ def mediator_attention_head(q, k, v, mediators, counter=None, heads=1):
     Stage one compresses the values: the mediators attend over the keys.
     Stage two answers the queries against that compressed table. Each
     stage is one ``attend`` op. Returns the heads' outputs plus both
-    stage maps, record-less tensors over read-only arrays.
+    stage maps as read-only arrays.
     """
     if mediators.shape[:-2] != q.shape[:-2] or mediators.shape[-1] != q.shape[-1]:
         raise DimensionError(
@@ -315,9 +302,7 @@ def mediator_attention(z, params, cfg, mcfg, dw_kernels=None, counter=None):
         merged = add(merged, reshape(local, merged.shape))
     out = matmul(merged, params.w_out, counter, LABEL_OUT)
     n, count = cfg.n_tokens, mcfg.count
-    maps = AttentionMaps.mediated(
-        query_to_med.data.reshape(-1, n, count), med_to_key.data.reshape(-1, count, n)
-    )
+    maps = AttentionMaps.mediated(query_to_med.reshape(-1, n, count), med_to_key.reshape(-1, count, n))
     return out, maps
 
 
@@ -384,7 +369,7 @@ def attention_flops(cfg, layers=1):
     return per_layer.times(layers)
 
 
-def mediator_flops(cfg, mediators, layers=1, dw_branch=True):
+def mediator_flops(cfg, mediators, layers=1):
     """Closed-form MACs for mediated attention layers.
 
     ``mediators`` is a MediatorConfig or a plain count. The interaction
@@ -400,7 +385,7 @@ def mediator_flops(cfg, mediators, layers=1, dw_branch=True):
         qkv_proj=3 * n * c * c,
         interaction=4 * count * n * c,
         pooling=n * c,
-        dwconv=9 * n * c if dw_branch else 0,
+        dwconv=9 * n * c,
         out_proj=n * c * c,
     )
     return per_layer.times(layers)

@@ -148,8 +148,9 @@ def _resolve(args):
     """The run's configuration (defaults, then the config file, then flags)
     and its command's inputs: the model, from --ckpt or fresh from the seed,
     for all but flops and bench, the schedule for sample and redundancy, and
-    the grid for sweep. Every outside input is read here, once, so every
-    check fails before the run writes anything."""
+    the grid for sweep; without --ckpt, the config file's invocation.ckpt
+    names the checkpoint, and args.ckpt records it. Every outside input is
+    read here, once, so every check fails before the run writes anything."""
     command = args.command
     config = default_config()
     if args.config is not None:
@@ -157,6 +158,14 @@ def _resolve(args):
         if not isinstance(user, dict):
             raise ConfigError(f"config file {args.config} must hold a JSON object")
         _merge(config, user)
+        invocation = user.get("invocation", {})
+        if not isinstance(invocation, dict):
+            raise ConfigError(f"config key invocation must be an object, got {invocation!r}")
+        saved = invocation.get("ckpt")
+        if saved is not None and not isinstance(saved, str):
+            raise ConfigError(f"config key invocation.ckpt must be a string or null, got {saved!r}")
+        if hasattr(args, "ckpt") and args.ckpt is None:
+            args.ckpt = saved
     if args.seed is not None:
         config["seed"] = args.seed
     # Each integer flag overrides the key of its name in the command's section.

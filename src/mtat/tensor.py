@@ -83,8 +83,7 @@ class MacCounter:
 
 
 # Elements per finiteness check, so its boolean mask never exceeds 64 KiB:
-# a mask over a whole output is an eighth of its size, 4 MiB beside the
-# 32 MiB vanilla map at N=1024.
+# a mask over a whole output would be an eighth of its size.
 _FINITE_SLICE = 1 << 16
 
 
@@ -528,14 +527,16 @@ def attend(q, k, v, factor, counter=None, label="attend", heads=1):
     """Attention softmax(factor * q k^T) v over the last two axes, as one op.
 
     ``q`` is (..., m, H*d), ``k`` (..., n, H*d) and ``v`` (..., n, H*e),
-    with equal leading axes and ``heads`` = H heads side by side in the
-    last axis. Every head attends on its own columns, read as strided
-    views. Returns the (..., m, H*e) output, the heads' columns side by
-    side again, and the (..., H, m, n) attention map, (..., m, n) for
-    one head. The map is a record-less tensor over a read-only array
-    that the VJP also reads: copy it before mutating. The scores are
-    written once, from the scaled q times a transposed view of k, and
-    normalised in place; the tape keeps the map, not the scores. When
+    with e >= 1, equal leading axes and ``heads`` = H heads side by side
+    in the last axis. Every head attends on its own columns, read as
+    strided views. Returns the (..., m, H*e) output tensor, the heads'
+    columns side by side again, and the (..., H, m, n) attention map,
+    (..., m, n) for one head, as the read-only array that the VJP also
+    reads. Only the output is checked for non-finite values: softmax
+    entries are never infinite, and a NaN in a map row reaches that
+    row's output. The scores are written once, from the scaled q times
+    a transposed view of k, and normalised in place; the tape keeps the
+    map, not the scores. When
     ``counter`` is given, the two products' m*n*d + m*n*e multiply-
     accumulates per head are added under ``label``; backward work is not
     metered. Parents that do not require grad get no gradient product.
@@ -552,6 +553,7 @@ def attend(q, k, v, factor, counter=None, label="attend", heads=1):
         or heads < 1
         or q.shape[-1] % heads
         or v.shape[-1] % heads
+        or v.shape[-1] == 0
     ):
         raise DimensionError(
             f"attend shapes disagree: q {q.shape}, k {k.shape}, v {v.shape}, {heads} heads"
@@ -589,9 +591,7 @@ def attend(q, k, v, factor, counter=None, label="attend", heads=1):
         g_k = _merge_heads(np.swapaxes(g_s, -1, -2) @ qd, heads) if need_k else None
         return g_q, g_k, g_v
 
-    # Both results are checked for non-finite values; the map takes no
-    # parents, so it gets no record.
-    return _make(_merge_heads(out, heads), "attend", (q, k, v), vjp), _make(attn, "attend", (), None)
+    return _make(_merge_heads(out, heads), "attend", (q, k, v), vjp), attn
 
 
 _GELU_C = math.sqrt(2.0 / math.pi)

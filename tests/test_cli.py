@@ -138,6 +138,39 @@ def test_resolved_config_reproduces_the_run(tmp_path, monkeypatch, micro_ckpt):
             assert (first / name).read_bytes() == (rerun / name).read_bytes(), (command, name)
 
 
+def test_resolved_config_alone_reads_the_checkpoint_it_names(tmp_path, monkeypatch, capsys, micro_ckpt):
+    # As above, but the rerun passes no --ckpt: it reads the checkpoint the
+    # first run's invocation.ckpt names and records it again, so every
+    # output but the wall times repeats, config.resolved.json included.
+    for command in ["sample", "redundancy", "sweep"]:
+        run = [command, "--config", "config.json", "--out", "run"]
+        first, rerun = tmp_path / command / "a", tmp_path / command / "b"
+        first.mkdir(parents=True)
+        rerun.mkdir()
+        (first / "config.json").write_text(json.dumps(MICRO_CONFIG))
+        monkeypatch.chdir(first)
+        assert main(run + ["--ckpt", micro_ckpt]) == 0, command
+        shutil.copy(first / "run" / "config.resolved.json", rerun / "config.json")
+        monkeypatch.chdir(rerun)
+        assert main(run) == 0, command
+        first, rerun = first / "run", rerun / "run"
+        names = sorted(path.name for path in first.iterdir())
+        assert sorted(path.name for path in rerun.iterdir()) == names, command
+        for name in set(names) - TIMED_OUTPUTS:
+            assert (first / name).read_bytes() == (rerun / name).read_bytes(), (command, name)
+    capsys.readouterr()
+    resolved = json.loads((first / "config.resolved.json").read_text())
+    for invocation, message in [
+        ("x", "config key invocation must be an object, got 'x'"),
+        ({"ckpt": 3}, "config key invocation.ckpt must be a string or null, got 3"),
+    ]:
+        (tmp_path / "bad.json").write_text(json.dumps(dict(resolved, invocation=invocation)))
+        out = tmp_path / "bad"
+        assert main(["sweep", "--config", str(tmp_path / "bad.json"), "--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # sample
 

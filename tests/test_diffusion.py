@@ -331,7 +331,7 @@ def test_batched_forward_captures_every_sample_head():
     images, labels, times, _ = batch_inputs(cfg, 3)
     tokens = np.stack([tokens_from_image(img, cfg) for img in images])
     _, (full, mediated) = model.forward(tokens, times, labels, capture=True)
-    assert full.head_count == mediated.head_count == 3 * cfg.heads
+    assert len(full.heads) == len(mediated.query_to_mediator) == 3 * cfg.heads
     _, (full1, mediated1) = model.forward(tokens[1], times[1], labels[1], capture=True)
     for h in range(cfg.heads):
         i = cfg.heads + h  # sample 1, head h
