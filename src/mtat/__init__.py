@@ -25,7 +25,6 @@ from .attention import (
 from .diffusion import (
     FidReference,
     ModelBundle,
-    SgdConfig,
     SgdState,
     SynthData,
     ToyDiffusionModel,
@@ -44,7 +43,6 @@ from .diffusion import (
 )
 from .errors import (
     ConfigError,
-    DegenerateTrajectoryError,
     DimensionError,
     DomainError,
     MtatError,

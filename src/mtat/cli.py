@@ -29,7 +29,6 @@ from .attention import (
 )
 from .diffusion import (
     FidReference,
-    SgdConfig,
     SgdState,
     ToyDiffusionModel,
     ToyModelConfig,
@@ -41,7 +40,7 @@ from .diffusion import (
     synth_dataset,
     train_step,
 )
-from .errors import ConfigError, DegenerateTrajectoryError, MtatError, NumericError
+from .errors import ConfigError, MtatError, NumericError
 from .scheduler import (
     MediatorSchedule,
     default_rho_values,
@@ -280,22 +279,25 @@ def cmd_train(config, out, model):
         seed, model.cfg.classes, model.cfg.grid_h, model.cfg.grid_w,
         data_cfg["size"], model.cfg.channels,
     )
-    optimizer = SgdState(SgdConfig(lr=train_cfg["lr"], momentum=train_cfg["momentum"]))
+    optimizer = SgdState(train_cfg["lr"], train_cfg["momentum"])
     draw = stream_rng(seed, "data", "train")
     batch, steps = train_cfg["batch"], train_cfg["steps"]
 
-    lines = ["step,loss"]
-    first_loss, last_loss = None, None
-    for step in range(steps):
-        picks = draw.integers(0, data.images.shape[0], size=batch)
-        model, loss = train_step(model, optimizer, data.images[picks], data.labels[picks], draw)
-        lines.append(f"{step},{loss!r}")
-        first_loss = loss if first_loss is None else first_loss
-        last_loss = loss
-    write_text_atomic(os.path.join(out, "loss.csv"), "\n".join(lines) + "\n")
+    # A failed step still leaves the losses of the steps before it.
+    losses = []
+    try:
+        for _ in range(steps):
+            picks = draw.integers(0, data.images.shape[0], size=batch)
+            model, loss = train_step(
+                model, optimizer, data.images[picks], data.labels[picks], draw
+            )
+            losses.append(loss)
+    finally:
+        lines = ["step,loss"] + [f"{step},{loss!r}" for step, loss in enumerate(losses)]
+        write_text_atomic(os.path.join(out, "loss.csv"), "\n".join(lines) + "\n")
     save_checkpoint(os.path.join(out, "model.ckpt"), model.state_dict())
     if steps:
-        print(f"trained {steps} steps: loss {first_loss:.4f} -> {last_loss:.4f}")
+        print(f"trained {steps} steps: loss {losses[0]:.4f} -> {losses[-1]:.4f}")
     else:
         print("trained 0 steps: wrote the initial checkpoint")
     print(f"wrote {out}/loss.csv and {out}/model.ckpt")
@@ -615,7 +617,7 @@ def main(argv=None):
         out = args.out or os.path.join("runs", args.command)
         _write_resolved(out, config, args)
         return args.func(config, out, **inputs) or 0
-    except (NumericError, DegenerateTrajectoryError) as exc:
+    except NumericError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return 3
     except MtatError as exc:

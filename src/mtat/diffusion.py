@@ -143,16 +143,23 @@ class ToyModelConfig:
             raise ConfigError(f"malformed model config: {exc}") from exc
 
 
-def tokens_from_image(image, cfg):
-    arr = np.asarray(image, dtype=np.float64)
-    if arr.shape == (cfg.n_tokens, cfg.channels):
-        return arr
-    if arr.shape == (cfg.grid_h, cfg.grid_w, cfg.channels):
-        return arr.reshape(cfg.n_tokens, cfg.channels)
-    raise DimensionError(
-        f"expected image ({cfg.grid_h}, {cfg.grid_w}, {cfg.channels}) or tokens "
-        f"({cfg.n_tokens}, {cfg.channels}), got {arr.shape}"
-    )
+def tokens_from_image(image, cfg, lead=()):
+    """Raster tokens, ``lead + (N, C)``, of one sample per index of the
+    leading axes ``lead`` (a tuple; none for one sample), each an (H, W, C)
+    image or an (N, C) token matrix. A stack is one array or a list of
+    equal-shape arrays; any other shape, a ragged list or a list mixing
+    the two forms is a DimensionError."""
+    try:
+        arr = np.asarray(image, dtype=np.float64)
+    except ValueError as exc:  # a ragged or mixed list
+        raise DimensionError(f"samples do not stack into one array: {exc}") from exc
+    image_shape = lead + (cfg.grid_h, cfg.grid_w, cfg.channels)
+    token_shape = lead + (cfg.n_tokens, cfg.channels)
+    if arr.shape not in (image_shape, token_shape):
+        raise DimensionError(
+            f"expected images {image_shape} or tokens {token_shape}, got {arr.shape}"
+        )
+    return arr.reshape(token_shape)
 
 
 def image_from_tokens(tokens, cfg):
@@ -264,8 +271,9 @@ class ToyDiffusionModel:
 
         One sample: ``x`` is an image or an (N, C) token matrix, ``t`` a
         scalar and ``label`` an int, and the velocity is (N, C). A batch:
-        ``label`` holds one entry per sample and ``x`` is the (B, N, C)
-        stack, run through every op at once; the velocity is (B, N, C).
+        ``label`` holds one entry per sample and ``x`` their stack, as
+        ``tokens_from_image`` reads it, run through every op at once; the
+        velocity is (B, N, C).
         ``t`` is one time per sample, or a scalar shared by all of them.
         A shared time's row is computed once and broadcast, so every
         sample's velocity and maps equal its own single-sample forward
@@ -285,14 +293,7 @@ class ToyDiffusionModel:
             raise DomainError(f"label {label} outside [0, {cfg.classes})")
         count = cfg.default_mediators if mediator_count is None else int(mediator_count)
         attn_cfg = cfg.attention_config
-        if labels.ndim:
-            tokens = Tensor(np.stack([tokens_from_image(sample, cfg) for sample in x]))
-        else:
-            tokens = Tensor(tokens_from_image(x, cfg))
-        if tokens.shape != labels.shape + (cfg.n_tokens, cfg.channels):
-            raise DimensionError(
-                f"tokens of shape {tokens.shape} do not match {labels.size} label(s)"
-            )
+        tokens = Tensor(tokens_from_image(x, cfg, labels.shape))
 
         # Conditioning rows are (..., 1, hidden), added to every token; a
         # shared time gives one (1, hidden) row.
@@ -355,17 +356,15 @@ class ToyDiffusionModel:
 # training
 
 
-@dataclass
-class SgdConfig:
-    lr: float = 0.05
-    momentum: float = 0.9
-
-
 class SgdState:
-    """Plain SGD with classical momentum over a named parameter dict."""
+    """Plain SGD with classical momentum over a named parameter dict: a
+    step moves each parameter by ``lr`` times its buffer, ``momentum``
+    times the last buffer plus the gradient. ``apply`` takes gradients by
+    name, a missing or None one counting as zero, and returns fresh
+    parameter tensors."""
 
-    def __init__(self, config):
-        self.config = config
+    def __init__(self, lr, momentum):
+        self.lr, self.momentum = lr, momentum
         self.velocity = {}
 
     def apply(self, params, grads):
@@ -375,19 +374,20 @@ class SgdState:
             if grad is None:
                 grad = np.zeros(param.shape)
             buf = self.velocity.get(name)
-            buf = grad if buf is None else self.config.momentum * buf + grad
+            buf = grad if buf is None else self.momentum * buf + grad
             self.velocity[name] = buf
-            updated[name] = Tensor(param.data - self.config.lr * buf, requires_grad=True)
+            updated[name] = Tensor(param.data - self.lr * buf, requires_grad=True)
         return updated
 
 
 def batch_loss(model, images, labels, times, noises, mediator_count=None):
     """Mean squared velocity error over a batch: one forward over the
-    stacked samples, as one graph."""
+    stacked samples, as one graph. ``images`` and ``noises`` are each one
+    stack, as ``tokens_from_image`` reads it, with a label and a time per
+    sample."""
     if len(images) == 0:
         raise UsageError("batch_loss needs at least one sample")
-    cfg = model.cfg
-    x, eps = (np.stack([tokens_from_image(a, cfg) for a in arrays]) for arrays in (images, noises))
+    x, eps = (tokens_from_image(a, model.cfg, (len(images),)) for a in (images, noises))
     x_t, v_target = interpolate(x, eps, times)
     pred, _ = model.forward(x_t, times, labels, mediator_count)
     diff = sub(pred, Tensor(v_target))
@@ -397,16 +397,15 @@ def batch_loss(model, images, labels, times, noises, mediator_count=None):
 def train_step(model, optimizer, images, labels, rng, mediator_count=None):
     """One SGD step on a batch; returns (updated model, loss value).
 
-    Times and noises are drawn from ``rng``; parameters are rebound to
-    fresh tensors rather than mutated, so old graphs stay valid.
+    ``rng`` draws one time per sample, then the batch's noise in one
+    draw; SGD steps on the gradients ``backward`` returns. Parameters are
+    rebound to fresh tensors rather than mutated, so old graphs stay valid.
     """
     times = rng.uniform(0.0, 1.0, len(images))
-    noises = [rng.standard_normal(np.shape(img)) for img in images]
-    for param in model.params.values():
-        param.grad = None
+    noises = rng.standard_normal(np.shape(images))
     loss = batch_loss(model, images, labels, times, noises, mediator_count)
-    backward(loss)
-    grads = {name: param.grad for name, param in model.params.items()}
+    leaf_grads = backward(loss)
+    grads = {name: leaf_grads.get(param) for name, param in model.params.items()}
     new_params = optimizer.apply(model.params, grads)
     return ToyDiffusionModel(model.cfg, params=new_params), loss.item()
 

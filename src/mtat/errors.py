@@ -1,9 +1,8 @@
 """Exception types shared across the package.
 
 Every error raised on purpose derives from MtatError so callers can catch
-one base class. The CLI maps NumericError and DegenerateTrajectoryError to
-exit code 3, and every other MtatError and a failed output write to exit
-code 2.
+one base class. The CLI maps NumericError to exit code 3, and every other
+MtatError and a failed output write to exit code 2.
 """
 
 
@@ -29,7 +28,3 @@ class DomainError(MtatError):
 
 class ConfigError(MtatError):
     """A configuration value is missing, malformed, or inconsistent."""
-
-
-class DegenerateTrajectoryError(MtatError):
-    """A trajectory signal needed for scheduling collapsed to zero."""

@@ -21,7 +21,6 @@ import numpy as np
 from .attention import FlopsReport
 from .errors import (
     ConfigError,
-    DegenerateTrajectoryError,
     DimensionError,
     DomainError,
     NumericError,
@@ -120,14 +119,14 @@ def select_mediator_count(delta_t, delta0, count, schedule):
     (delta_t <= rho * delta0, boundary inclusive) makes its count
     eligible, and the largest of ``count`` and the eligible counts is
     returned: several levels may be passed in one step, and a count once
-    reached is kept.
+    reached is kept. A zero ``delta0`` returns ``count``: relative
+    thresholds are undefined there, so no level is reachable. A negative
+    or non-finite displacement is a DomainError.
     """
-    if delta0 <= 0.0:
-        raise DegenerateTrajectoryError(
-            "first-step displacement is zero; relative thresholds are undefined"
-        )
-    if delta_t < 0.0 or not math.isfinite(delta_t) or not math.isfinite(delta0):
+    if min(delta_t, delta0) < 0.0 or not math.isfinite(delta_t) or not math.isfinite(delta0):
         raise DomainError(f"displacements must be finite and non-negative: {delta_t}, {delta0}")
+    if delta0 == 0.0:
+        return count
     return max([count] + [lv.count for lv in schedule.levels if delta_t <= lv.threshold * delta0])
 
 
@@ -228,9 +227,9 @@ def run_scheduled_sampling(bundle, starts, labels, steps, schedules=(None,)):
     of latents at one time with one label per row, and
     ``step_flops(count)``; a None schedule is the one-level schedule
     of ``bundle.default_count``. The displacement of each completed step
-    selects the mediator count for the next one. A first step that does
-    not move the latent at all leaves the schedule at its start count
-    for the whole run, since relative thresholds are meaningless there.
+    selects the mediator count for the next one, by
+    ``select_mediator_count``; a first step that does not move the latent
+    at all leaves the run at its start count.
 
     From a fixed start the latent before step k depends only on the
     counts of steps 0..k-1, so runs whose schedules have picked the same
@@ -286,11 +285,10 @@ def run_scheduled_sampling(bundle, starts, labels, steps, schedules=(None,)):
                 run.error = stepped[child]
                 continue
             run.node, delta0 = child, deltas[child[:2]]
-            if delta0 > 0.0:
-                try:
-                    run.count = select_mediator_count(deltas[child], delta0, run.count, run.schedule)
-                except Exception as exc:  # noqa: BLE001 - runs fail independently
-                    run.error = exc
+            try:
+                run.count = select_mediator_count(deltas[child], delta0, run.count, run.schedule)
+            except Exception as exc:  # noqa: BLE001 - runs fail independently
+                run.error = exc
         latents = stepped
     return [[run.trajectory(latents, deltas, bills, bundle) for run in row] for row in grid]
 

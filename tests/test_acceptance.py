@@ -25,7 +25,6 @@ from mtat.attention import (
 )
 from mtat.cli import main
 from mtat.diffusion import (
-    SgdConfig,
     SgdState,
     ToyDiffusionModel,
     ToyModelConfig,
@@ -128,7 +127,7 @@ def trained_micro():
         return batch_loss(model, data.images[:8], data.labels[:8], times, noises).item()
 
     model = ToyDiffusionModel(MICRO, seed=0)
-    optimizer = SgdState(SgdConfig(lr=0.01, momentum=0.9))
+    optimizer = SgdState(0.01, 0.9)
     rng = stream_rng(11, "init")
     before = eval_loss(model)
     first = last = None

@@ -109,6 +109,22 @@ def test_train_runs_are_bit_identical(tmp_path, config_path):
     assert [r[0] for r in rows] == [str(i) for i in range(5)]
 
 
+def test_diverging_train_keeps_its_finished_losses(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"train": {"lr": 1e6}}))
+    out = tmp_path / "run"
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = main(["train", "--config", str(config), "--steps", "40", "--out", str(out)])
+    assert code == 3
+    assert "numeric error:" in capsys.readouterr().err
+    header, rows = read_csv(out / "loss.csv")
+    assert header == ["step", "loss"]
+    assert 0 < len(rows) < 40
+    assert [r[0] for r in rows] == [str(i) for i in range(len(rows))]
+    assert all(math.isfinite(float(r[1])) for r in rows)
+    assert not (out / "model.ckpt").exists()
+
+
 # Outputs that hold wall times; reruns reproduce every other file.
 TIMED_OUTPUTS = {"timing.json", "bench.csv", "bench.json"}
 

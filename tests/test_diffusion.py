@@ -9,7 +9,6 @@ from mtat.attention import composed_attention_map
 from mtat.diffusion import (
     FidReference,
     ModelBundle,
-    SgdConfig,
     SgdState,
     ToyDiffusionModel,
     ToyModelConfig,
@@ -174,6 +173,14 @@ def test_token_image_roundtrip():
     assert np.array_equal(tokens_from_image(tokens, MICRO), tokens)
     with pytest.raises(DimensionError):
         tokens_from_image(np.zeros((3, 3, 1)), MICRO)
+    # a stack of images and a stack of token matrices give the same tokens
+    images = rng.standard_normal((3, 4, 4, 1))
+    stacked = tokens_from_image(images, MICRO, (3,))
+    assert stacked.shape == (3, 16, 1)
+    assert np.array_equal(tokens_from_image(stacked, MICRO, (3,)), stacked)
+    assert np.array_equal(stacked[1], tokens_from_image(images[1], MICRO))
+    with pytest.raises(DimensionError):
+        tokens_from_image(images, MICRO, (2,))
 
 
 def test_untrained_model_predicts_zero_velocity():
@@ -317,6 +324,8 @@ def test_batched_forward_equals_single_sample_forwards(count):
     images, labels, times, _ = batch_inputs(cfg, 5)
     tokens = np.stack([tokens_from_image(img, cfg) for img in images])
     batched, _ = model.forward(tokens, times, labels, mediator_count=count)
+    from_images, _ = model.forward(images, times, labels, mediator_count=count)
+    assert np.array_equal(from_images.data, batched.data)
     single = np.stack([
         model.forward(tokens[b], times[b], labels[b], mediator_count=count)[0].data
         for b in range(len(tokens))
@@ -349,6 +358,18 @@ def test_batched_forward_rejects_mismatched_batches():
         model.forward(tokens[:2], [0.1, 0.2, 0.3], [0, 1, 2])
     with pytest.raises(DomainError):
         model.forward(tokens, [0.1, 1.2, 0.3], [0, 1, 2])
+    # A batch is one array: a ragged list, or one mixing images and token
+    # matrices, is refused by the forward and by the loss alike.
+    image = np.zeros((cfg.grid_h, cfg.grid_w, cfg.channels))
+    ragged = [tokens[0], tokens[1, :-1]]
+    mixed = [tokens[0], image]
+    for batch in (ragged, mixed):
+        with pytest.raises(DimensionError):
+            model.forward(batch, [0.1, 0.2], [0, 1])
+        with pytest.raises(DimensionError):
+            batch_loss(model, batch, [0, 1], [0.1, 0.2], [image, image])
+        with pytest.raises(DimensionError):
+            batch_loss(model, [image, image], [0, 1], [0.1, 0.2], batch)
 
 
 @pytest.mark.parametrize("which, counts", [("micro", (1, 4, 16)), ("default", (4, 16, 64))])
@@ -463,7 +484,7 @@ def test_default_batch_tapes_no_head_layout_ops():
 
 
 def test_sgd_momentum_hand_values():
-    opt = SgdState(SgdConfig(lr=0.1, momentum=0.5))
+    opt = SgdState(0.1, 0.5)
     params = {"w": Tensor(np.array([1.0]), requires_grad=True)}
     grads = {"w": np.array([1.0])}
     params = opt.apply(params, grads)
@@ -474,7 +495,7 @@ def test_sgd_momentum_hand_values():
 
 
 def test_sgd_treats_missing_grads_as_zero():
-    opt = SgdState(SgdConfig(lr=0.1, momentum=0.0))
+    opt = SgdState(0.1, 0.0)
     params = {"w": Tensor(np.array([2.0]), requires_grad=True)}
     updated = opt.apply(params, {})
     assert np.array_equal(updated["w"].data, params["w"].data)
@@ -483,7 +504,7 @@ def test_sgd_treats_missing_grads_as_zero():
 def test_train_step_with_zero_lr_keeps_params():
     data = synth_dataset(11, MICRO.classes, 4, 4, 8)
     model = ToyDiffusionModel(MICRO, seed=0)
-    opt = SgdState(SgdConfig(lr=0.0, momentum=0.9))
+    opt = SgdState(0.0, 0.9)
     rng = stream_rng(11, "init")
     after, loss = train_step(model, opt, data.images[:4], data.labels[:4], rng)
     assert loss > 0.0
@@ -496,7 +517,7 @@ def test_training_is_deterministic():
 
     def run():
         model = ToyDiffusionModel(MICRO, seed=0)
-        opt = SgdState(SgdConfig(lr=0.01, momentum=0.9))
+        opt = SgdState(0.01, 0.9)
         rng = stream_rng(11, "init")
         losses = []
         for _ in range(3):
@@ -508,6 +529,18 @@ def test_training_is_deterministic():
     model_a, losses_a = run()
     model_b, losses_b = run()
     assert losses_a == losses_b
+
+    # One step's batched noise draw is the per-sample draws, in order: the
+    # loss matches batch_loss on a twin generator's per-sample noises, and
+    # both generators end in the same state.
+    model = ToyDiffusionModel(MICRO, seed=0)
+    rng, twin = stream_rng(12, "init"), stream_rng(12, "init")
+    images, labels = data.images[:4], data.labels[:4]
+    _, loss = train_step(model, SgdState(0.01, 0.9), images, labels, rng)
+    times = twin.uniform(0.0, 1.0, len(images))
+    noises = [twin.standard_normal(img.shape) for img in images]
+    assert loss == batch_loss(model, images, labels, times, noises).item()
+    assert rng.bit_generator.state == twin.bit_generator.state
     for name in model_a.params:
         assert np.array_equal(model_a.params[name].data, model_b.params[name].data)
 
@@ -522,7 +555,7 @@ def test_training_halves_held_out_loss():
         return batch_loss(model, data.images[:8], data.labels[:8], times, noises).item()
 
     model = ToyDiffusionModel(MICRO, seed=0)
-    opt = SgdState(SgdConfig(lr=0.01, momentum=0.9))
+    opt = SgdState(0.01, 0.9)
     rng = stream_rng(11, "init")
     before = eval_loss(model)
     for _ in range(120):

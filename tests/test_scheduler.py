@@ -6,7 +6,6 @@ import pytest
 from mtat.attention import AttentionConfig, FlopsReport, mediator_flops
 from mtat.errors import (
     ConfigError,
-    DegenerateTrajectoryError,
     DimensionError,
     DomainError,
     NumericError,
@@ -172,8 +171,10 @@ def test_latching_ignores_rebounds():
 
 def test_selection_errors():
     schedule = MediatorSchedule(4, (ScheduleLevel(0.5, 16),))
-    with pytest.raises(DegenerateTrajectoryError):
-        select_mediator_count(1.0, 0.0, 4, schedule)
+    # A still first step leaves no level reachable.
+    assert select_mediator_count(0.0, 0.0, 4, schedule) == 4
+    with pytest.raises(DomainError):
+        select_mediator_count(1.0, -1.0, 4, schedule)
     with pytest.raises(DomainError):
         select_mediator_count(-1.0, 10.0, 4, schedule)
     with pytest.raises(DomainError):
