@@ -11,8 +11,6 @@ numeric failures.
 
 import argparse
 import copy
-import csv
-import io
 import json
 import os
 import sys
@@ -50,7 +48,7 @@ from .scheduler import (
 )
 from .serialize import checkpoint_from_bytes, save_checkpoint, save_tensor
 from .tensor import MacCounter, Tensor, no_grad
-from .util import check_json, child_seed, json_type, stream_rng, write_text_atomic
+from .util import check_json, child_seed, csv_text, json_type, stream_rng, write_text_atomic
 
 _META_KEYS = ("command", "invocation")
 # `mtat bench` reports the median wall time of this many calls per
@@ -293,8 +291,8 @@ def cmd_train(config, out, model):
             )
             losses.append(loss)
     finally:
-        lines = ["step,loss"] + [f"{step},{loss!r}" for step, loss in enumerate(losses)]
-        write_text_atomic(os.path.join(out, "loss.csv"), "\n".join(lines) + "\n")
+        text = csv_text(["step", "loss"], enumerate(losses))
+        write_text_atomic(os.path.join(out, "loss.csv"), text)
     save_checkpoint(os.path.join(out, "model.ckpt"), model.state_dict())
     if steps:
         print(f"trained {steps} steps: loss {losses[0]:.4f} -> {losses[-1]:.4f}")
@@ -406,30 +404,20 @@ def cmd_sweep(config, out, model, points):
 
     # The displacement is always the l1 distance; its `metric` column stays
     # so the files keep their column layout.
-    header = "rho0,rho1,metric,avg_gflops,quality,on_envelope"
-
-    def rho1_text(point):
-        return "" if point.rho1 is None else repr(float(point.rho1))
-
-    def row(point, cost, quality):
-        flag = 1 if point.index in envelope_ids else 0
-        return f"{repr(float(point.rho0))},{rho1_text(point)},l1,{cost!r},{quality!r},{flag}"
-
-    lines = [header] + [row(*entry) for entry in results]
-    write_text_atomic(os.path.join(out, "sweep.csv"), "\n".join(lines) + "\n")
-    env_lines = [header] + [
-        row(*entry) for entry in sorted(results, key=lambda e: e[1]) if entry[0].index in envelope_ids
+    header = ["rho0", "rho1", "metric", "avg_gflops", "quality", "on_envelope"]
+    rows = [
+        (point.rho0, point.rho1, "l1", cost, quality, int(point.index in envelope_ids))
+        for point, cost, quality in results
     ]
-    write_text_atomic(os.path.join(out, "envelope.csv"), "\n".join(env_lines) + "\n")
-    failure_text = io.StringIO()
-    writer = csv.writer(failure_text, lineterminator="\n")
-    writer.writerow(["index", "rho0", "rho1", "metric", "error", "message"])
-    for point, exc in failures:
-        writer.writerow([
-            point.index, repr(float(point.rho0)), rho1_text(point), "l1",
-            type(exc).__name__, str(exc),
-        ])
-    write_text_atomic(os.path.join(out, "failures.csv"), failure_text.getvalue())
+    write_text_atomic(os.path.join(out, "sweep.csv"), csv_text(header, rows))
+    envelope = sorted((row for row in rows if row[5]), key=lambda row: row[3])
+    write_text_atomic(os.path.join(out, "envelope.csv"), csv_text(header, envelope))
+    failure_rows = [
+        (point.index, point.rho0, point.rho1, "l1", type(exc).__name__, str(exc))
+        for point, exc in failures
+    ]
+    text = csv_text(["index", "rho0", "rho1", "metric", "error", "message"], failure_rows)
+    write_text_atomic(os.path.join(out, "failures.csv"), text)
     print(
         f"swept {len(points)} schedules ({len(failures)} failed), "
         f"{len(envelope_ids)} on the envelope; wrote {out}/sweep.csv, {out}/envelope.csv "
@@ -546,10 +534,8 @@ def cmd_bench(config, out):
         )
         summary[kind] = {"mac_exponent": mac_exp, "wall_exponent": wall_exp}
         print(f"{kind}: MAC exponent {mac_exp:.4f}, wall exponent {wall_exp:.2f} (informational)")
-    lines = ["kind,n_tokens,interaction_macs,total_macs,wall_seconds"]
-    for kind, n_tokens, interaction, total_macs, wall in rows:
-        lines.append(f"{kind},{n_tokens},{interaction},{total_macs},{wall!r}")
-    write_text_atomic(os.path.join(out, "bench.csv"), "\n".join(lines) + "\n")
+    header = ["kind", "n_tokens", "interaction_macs", "total_macs", "wall_seconds"]
+    write_text_atomic(os.path.join(out, "bench.csv"), csv_text(header, rows))
     write_text_atomic(os.path.join(out, "bench.json"), json.dumps(summary, indent=2) + "\n")
     print(f"wrote {out}/bench.csv and {out}/bench.json")
     return 0
@@ -616,7 +602,9 @@ def main(argv=None):
         config, inputs = _resolve(args)
         out = args.out or os.path.join("runs", args.command)
         _write_resolved(out, config, args)
-        return args.func(config, out, **inputs) or 0
+        # Ops and the sampler reject non-finite values; numpy's warnings would repeat that.
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(config, out, **inputs) or 0
     except NumericError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return 3

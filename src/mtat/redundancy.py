@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError, DomainError, NumericError, UsageError
-from .util import stream_rng
+from .util import csv_text, stream_rng
 
 LN2 = math.log(2.0)
 _SUM_TOL = 1e-6
@@ -249,10 +249,7 @@ class RedundancyTrace:
     timing: dict = field(default_factory=dict)
 
     def to_csv(self):
-        lines = ["layer,step,score,samples,heads"]
-        layers, steps = self.scores.shape
-        for layer in range(layers):
-            for step in range(steps):
-                value = repr(float(self.scores[layer, step]))
-                lines.append(f"{layer},{step},{value},{self.samples},{self.heads}")
-        return "\n".join(lines) + "\n"
+        """The ``redundancy.csv`` text: a ``layer,step,score,samples,heads``
+        row per (layer, step), layer-major."""
+        rows = [(*at, float(s), self.samples, self.heads) for at, s in np.ndenumerate(self.scores)]
+        return csv_text(["layer", "step", "score", "samples", "heads"], rows)

@@ -25,7 +25,7 @@ from .errors import (
     DomainError,
     NumericError,
 )
-from .util import check_json
+from .util import check_json, csv_text
 
 # At most this many latents go through one model call of the sampler. On
 # the default model each row adds about 0.2 MB to a call's peak, and the
@@ -140,11 +140,10 @@ class LatentTrace:
     step_macs: list = field(default_factory=list)
 
     def to_csv(self):
-        lines = ["step,delta,n_t,step_macs"]
+        """The ``trace_*.csv`` text: a ``step,delta,n_t,step_macs`` row per step."""
         rows = zip(self.deltas, self.selected, self.step_macs)
-        for step, (delta, count, macs) in enumerate(rows):
-            lines.append(f"{step},{repr(float(delta))},{count},{macs}")
-        return "\n".join(lines) + "\n"
+        body = [(step, float(delta), n, macs) for step, (delta, n, macs) in enumerate(rows)]
+        return csv_text(["step", "delta", "n_t", "step_macs"], body)
 
 
 @dataclass
@@ -321,10 +320,11 @@ def threshold_grid(rho_values=None, counts=(4, 16, 64)):
     three-level schedule over ``counts``; then, always, each rho0 alone
     builds a two-level schedule over the first two counts. A pair with
     rho1 == rho0 means the middle level is unreachable, so it collapses to
-    a single level that jumps straight to the largest count. Fewer than
-    two or more than three counts, or no rho, is a ConfigError.
+    a single level that jumps straight to the largest count. The rho
+    values are stored as floats, so a JSON integer 1 reads as 1.0. Fewer
+    than two or more than three counts, or no rho, is a ConfigError.
     """
-    values = tuple(rho_values) if rho_values is not None else default_rho_values()
+    values = tuple(map(float, rho_values)) if rho_values is not None else default_rho_values()
     counts = tuple(int(c) for c in counts)
     if len(counts) not in (2, 3):
         raise ConfigError(f"threshold_grid needs two or three mediator counts, got {len(counts)}")

@@ -1,6 +1,8 @@
-"""Small shared helpers: named RNG streams, atomic writes, JSON type checks."""
+"""Small shared helpers: named RNG streams, atomic writes, CSV text, JSON type checks."""
 
+import csv
 import hashlib
+import io
 import math
 import os
 import tempfile
@@ -53,6 +55,18 @@ def write_text_atomic(path, text):
 def write_bytes_atomic(path, blob):
     """Write ``blob`` to ``path`` via a temp file and rename."""
     _atomic_write(path, blob, "wb")
+
+
+def csv_text(header, rows):
+    """The CSV text of ``header``, then ``rows``: a float, numpy's too, as
+    ``repr(float(value))``, None as an empty field, minimal quoting (of a
+    comma, a quote or a newline) and a newline after every line."""
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([repr(float(v)) if isinstance(v, (float, np.floating)) else v for v in row])
+    return text.getvalue()
 
 
 def child_seed(seed, *names):

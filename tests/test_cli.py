@@ -113,10 +113,10 @@ def test_diverging_train_keeps_its_finished_losses(tmp_path, capsys):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"train": {"lr": 1e6}}))
     out = tmp_path / "run"
-    with np.errstate(over="ignore", invalid="ignore"):
-        code = main(["train", "--config", str(config), "--steps", "40", "--out", str(out)])
+    code = main(["train", "--config", str(config), "--steps", "40", "--out", str(out)])
     assert code == 3
-    assert "numeric error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("numeric error:") and err.count("\n") == 1
     header, rows = read_csv(out / "loss.csv")
     assert header == ["step", "loss"]
     assert 0 < len(rows) < 40
@@ -316,17 +316,27 @@ MICRO_GRID_CONFIG = dict(
     ),
 )
 FAILURES_HEADER = "index,rho0,rho1,metric,error,message\n"
+# The micro grid with JSON integer rhos, and the (rho0, rho1) fields of its
+# five points in grid order: an integer rho is written as the float it is.
+INT_RHO_CONFIG = dict(
+    MICRO_GRID_CONFIG, sweep=dict(MICRO_GRID_CONFIG["sweep"], rho_values=[1, 0.5])
+)
+INT_RHO_FIELDS = [["1.0", "1.0"], ["1.0", "0.5"], ["0.5", "0.5"], ["1.0", ""], ["0.5", ""]]
 
 
-def broken_sweep(out, config_dir, micro_ckpt, monkeypatch, message="quality proxy diverged"):
-    """Run the 77-point micro sweep with a quality proxy that always raises."""
+def broken_sweep(
+    out, config_dir, micro_ckpt, monkeypatch, message="quality proxy diverged",
+    config=MICRO_GRID_CONFIG,
+):
+    """Run a micro sweep, by default the 77-point one, with a quality
+    proxy that always raises."""
 
     def broken_quality(*args, **kwargs):
         raise NumericError(message)
 
     monkeypatch.setattr("mtat.cli.fid_proxy", broken_quality)
     path = config_dir / "grid.json"
-    path.write_text(json.dumps(MICRO_GRID_CONFIG))
+    path.write_text(json.dumps(config))
     return main(["sweep", "--config", str(path), "--ckpt", micro_ckpt, "--out", str(out)])
 
 
@@ -341,7 +351,9 @@ def test_sweep_exits_3_when_every_point_fails(tmp_path, capsys, monkeypatch, mic
         assert header[0] == "rho0" and rows == []
 
 
-def test_sweep_writes_each_failed_point_to_failures_csv(tmp_path, config_path, micro_ckpt, monkeypatch):
+def test_sweep_writes_each_failed_point_to_failures_csv(
+    tmp_path, config_path, micro_ckpt, monkeypatch, capsys
+):
     message = 'proxy diverged at "t=1", twice'
     for name in ("a", "b"):
         assert broken_sweep(tmp_path / name, tmp_path, micro_ckpt, monkeypatch, message) == 3
@@ -354,11 +366,28 @@ def test_sweep_writes_each_failed_point_to_failures_csv(tmp_path, config_path, m
     assert rows[0][1:4] == ["1.0", "1.0", "l1"] and rows[-1][1:4] == ["0.0", "", "l1"]
     assert all(row[4:] == ["NumericError", message] for row in rows)
 
+    capsys.readouterr()
+    out = tmp_path / "e"
+    assert broken_sweep(out, tmp_path, micro_ckpt, monkeypatch, message, INT_RHO_CONFIG) == 3
+    assert "sweep point 0 (rho0=1.0, rho1=1.0) failed" in capsys.readouterr().err
+    rows = list(csv.reader(io.StringIO((out / "failures.csv").read_text())))[1:]
+    assert [row[1:3] for row in rows] == INT_RHO_FIELDS
+
     monkeypatch.undo()
     sweep = ["sweep", "--config", config_path, "--ckpt", micro_ckpt, "--out"]
     for name in ("c", "d"):
         assert main(sweep + [str(tmp_path / name)]) == 0
         assert (tmp_path / name / "failures.csv").read_text() == FAILURES_HEADER
+
+    # The same integer grid, with every point evaluated.
+    path = tmp_path / "int_rho.json"
+    path.write_text(json.dumps(INT_RHO_CONFIG))
+    out = tmp_path / "f"
+    assert main(["sweep", "--config", str(path), "--ckpt", micro_ckpt, "--out", str(out)]) == 0
+    _, rows = read_csv(out / "sweep.csv")
+    assert [row[:2] for row in rows] == INT_RHO_FIELDS
+    _, envelope = read_csv(out / "envelope.csv")
+    assert envelope and all(row in rows for row in envelope)
 
 
 def test_sweep_of_fresh_weights_exits_3_with_header_only_files(tmp_path, config_path, capsys):
@@ -926,12 +955,12 @@ def test_numeric_blowup_exits_3(tmp_path, config_path, capsys):
     state = {name: Tensor(np.full(p.shape, 1e300)) for name, p in model.params.items()}
     ckpt = tmp_path / "huge.ckpt"
     save_checkpoint(str(ckpt), state)
-    with np.errstate(over="ignore", invalid="ignore"):
-        code = main(
-            ["sample", "--config", config_path, "--ckpt", str(ckpt), "--out", str(tmp_path / "o")]
-        )
+    code = main(
+        ["sample", "--config", config_path, "--ckpt", str(ckpt), "--out", str(tmp_path / "o")]
+    )
     assert code == 3
-    assert "numeric error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("numeric error:") and err.count("\n") == 1
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Module boundaries: the score and the scheduler take plain arrays, so
 neither reads the tape, and the score does not read attention captures.
-No module imports a name it never uses."""
+Only util, the one CSV writer, imports csv. No module imports a name it
+never uses."""
 
 import ast
 from pathlib import Path
@@ -38,6 +39,13 @@ def test_import_reader_resolves_relative_imports():
 )
 def test_array_layers_do_not_import_the_tape_or_the_capture_type(name, forbidden):
     assert imported_modules(name) & forbidden == set()
+
+
+def test_only_util_imports_csv():
+    # util.csv_text is the one CSV writer, so the format is decided once.
+    modules = [path.stem for path in PACKAGE.glob("*.py")]
+    assert {"cli", "util"} <= set(modules)
+    assert {name for name in modules if "csv" in imported_modules(name)} == {"util"}
 
 
 def unused_imports(name):
