@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError, DomainError, NumericError, UsageError
-from .util import csv_text, stream_rng
+from .util import aligned_empty, csv_text, stream_rng
 
 LN2 = math.log(2.0)
 _SUM_TOL = 1e-6
@@ -104,13 +104,14 @@ class _JsdScratch:
     instead of 0, which rounding absorbs into any non-zero row sum.
     ``log`` is scratch for the one log per element; ``sums`` holds the
     per-row entropies, each one fused row dot of x with log x, and
-    ``mean_h`` the pairs' (H(p) + H(q)) / 2.
+    ``mean_h`` the pairs' (H(p) + H(q)) / 2. The three row buffers start
+    on cache lines, so no vector of the row loops straddles two.
     """
 
     def __init__(self, rows, width):
-        self.half = np.empty((rows, width))
-        self.mix = np.empty((rows - 1, width))
-        self.log = np.empty((rows - 1, width))
+        self.half = aligned_empty(rows * width).reshape(rows, width)
+        self.mix = aligned_empty((rows - 1) * width).reshape(rows - 1, width)
+        self.log = aligned_empty((rows - 1) * width).reshape(rows - 1, width)
         self.sums = np.empty(rows - 1)
         self.mean_h = np.empty(rows - 1)
 

@@ -13,14 +13,15 @@ treated as a bug, not a value.
 Matrix ops accept an optional MacCounter so callers can meter multiply-
 accumulate work without touching the math.
 
-Op outputs of 256 KiB up to 4 MiB computed inside ``no_grad`` are views
-of blocks from one private, capped pool, so a loop that repeats a call
-at the same shapes reuses memory instead of having the OS map and fault
-in fresh pages each time.
+Op outputs of 32 KiB up to 4 MiB, taped or not, and the buffers of
+that size in the ``gelu``, ``attend``, ``matmul`` and ``layer_norm``
+VJPs are views of blocks from one private, capped pool, so a loop that
+repeats a call or a train step at the same shapes reuses memory instead
+of having the OS map and fault in fresh pages each time.
 The contract: an op output may reuse the memory of an array that nobody
 references any more. Every view of a block keeps it through ``.base``,
-so an output, a map, a slice of either or a VJP closure that is still
-alive keeps its bytes.
+so an output, a map, a slice of either, a cotangent on ``.grad`` or a
+VJP closure that is still alive keeps its bytes.
 """
 
 import functools
@@ -35,6 +36,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DimensionError, NumericError, UsageError
+from .util import aligned_empty
 
 # Per-thread, for sweep_thresholds(..., workers>1): each pool worker keeps its own.
 _grad_state = threading.local()
@@ -94,15 +96,16 @@ def _check_finite(arr, op):
             raise NumericError(f"{op} produced non-finite values")
 
 
-# Op outputs of 256 KiB up to 4 MiB are views of pooled blocks. glibc
-# gives a freed heap top of that size back to the OS and the next call
-# faults it in again page by page; below it glibc's bins reuse memory,
-# and from 4 MiB numpy asks for huge pages. The cap bounds what the pool
-# keeps when callers hold many outputs at once. Outputs a tape records
-# stay with glibc while the VJP buffers do: pooling only the outputs
-# kept glibc's trim threshold low, and an 80-step `mtat train` took 1.4
-# to 2.2 times the page faults.
-_POOL_MIN, _POOL_MAX, _POOL_CAP = 256 << 10, 4 << 20, 16 << 20
+# Op outputs and VJP buffers of 32 KiB up to 4 MiB are views of pooled
+# blocks, on a tape or not. glibc gives a freed heap top back to the OS
+# and the next call faults it in again page by page, and a train step
+# frees its whole tape at once; the floor takes a default step's
+# (8, 64, 16) token arrays. Unpooled buffers left at the heap top made
+# the faults of a train job move with unrelated source bytes. From 4 MiB
+# numpy asks for huge pages. The cap bounds what the pool keeps when
+# callers hold many outputs at once. Blocks start on a cache line, so an
+# op's speed does not depend on where glibc put its output.
+_POOL_MIN, _POOL_MAX, _POOL_CAP = 32 << 10, 4 << 20, 16 << 20
 _pool = {}  # block bytes -> list of 1-D float64 blocks
 _pool_bytes = 0
 _pool_lock = threading.Lock()  # sweep_thresholds(..., workers>1) runs ops in threads
@@ -124,13 +127,13 @@ _FREE_REFS = next(n for n in range(1, 8) if _free_index([np.empty(1)], n) == 0)
 
 
 def _empty(shape):
-    """An uninitialised float64 array of ``shape`` for an op's output.
-    Within the pooled sizes and with recording off it reuses a block that
-    no array refers to any more, so an op output may take over the memory
-    of a dead one."""
+    """An uninitialised float64 array of ``shape`` for an op's output or
+    a VJP buffer. Within the pooled sizes it reuses a block that no array
+    refers to any more, so an op output may take over the memory of a
+    dead one."""
     global _pool_bytes
     nbytes = 8 * math.prod(shape)
-    if not _POOL_MIN <= nbytes < _POOL_MAX or _grad_enabled():
+    if not _POOL_MIN <= nbytes < _POOL_MAX:
         return np.empty(shape)
     with _pool_lock:
         blocks = _pool.setdefault(nbytes, [])
@@ -146,7 +149,7 @@ def _empty(shape):
                 _pool_bytes -= size
         if _pool_bytes + nbytes > _POOL_CAP:
             return np.empty(shape)
-        blocks.append(np.empty(nbytes // 8))
+        blocks.append(aligned_empty(nbytes // 8))
         _pool_bytes += nbytes
         return blocks[-1].reshape(shape)
 
@@ -479,15 +482,18 @@ def matmul(a, b, counter=None, label="matmul"):
 
         def vjp(g):
             g_flat = g.reshape(-1, g.shape[-1])
-            ga = (g_flat @ bd.T).reshape(ad.shape) if need_a else None
+            ga = None
+            if need_a:
+                ga = np.matmul(g_flat, bd.T, out=_empty(flat.shape)).reshape(ad.shape)
             return ga, (flat.T @ g_flat if need_b else None)
 
     else:
         out = np.matmul(ad, bd, out=_empty(ad.shape[:-1] + bd.shape[-1:]))
 
         def vjp(g):
-            ga = g @ np.swapaxes(bd, -1, -2) if need_a else None
-            return ga, (np.swapaxes(ad, -1, -2) @ g if need_b else None)
+            ga = np.matmul(g, np.swapaxes(bd, -1, -2), out=_empty(ad.shape)) if need_a else None
+            gb = np.matmul(np.swapaxes(ad, -1, -2), g, out=_empty(bd.shape)) if need_b else None
+            return ga, gb
 
     return _make(out, "matmul", (a, b), vjp)
 
@@ -583,7 +589,7 @@ def attend(q, k, v, factor, counter=None, label="attend", heads=1):
             return None, None, g_v
         # g_s = factor * attn * (g v^T - rowsum(g v^T * attn)); the row
         # sum equals rowsum(g * out), which needs no m x n temporary.
-        g_s = g @ np.swapaxes(vd, -1, -2)
+        g_s = np.matmul(g, np.swapaxes(vd, -1, -2), out=_empty(attn.shape))
         g_s -= _row_dot(g * out, 1.0)
         g_s *= attn
         g_s *= factor
@@ -604,25 +610,26 @@ def gelu(x):
     x = _as_tensor(x, "gelu")
     xd = x.data
     # In place, with the rounding of 0.5 * x * (1 + tanh(C * (x + A * x**3))).
-    th = xd * xd * xd
+    th = np.multiply(xd, xd, out=_empty(xd.shape))
+    th *= xd
     th *= _GELU_A
     th += xd
     th *= _GELU_C
     np.tanh(th, out=th)
-    out = 0.5 * xd
-    out *= 1.0 + th
+    out = np.multiply(0.5, xd, out=_empty(xd.shape))
+    out *= np.add(1.0, th, out=_empty(xd.shape))
 
     def vjp(g):
         # g * (0.5 (1 + th) + 0.5 x sech^2 C (1 + 3 A x^2)), in place.
-        d_inner = _GELU_3A * xd
+        d_inner = np.multiply(_GELU_3A, xd, out=_empty(xd.shape))
         d_inner *= xd
         d_inner += 1.0
         d_inner *= _GELU_C
-        slope = th * th
+        slope = np.multiply(th, th, out=_empty(xd.shape))
         np.subtract(1.0, slope, out=slope)
-        slope *= 0.5 * xd
+        slope *= np.multiply(0.5, xd, out=_empty(xd.shape))
         slope *= d_inner
-        gx = 1.0 + th
+        gx = np.add(1.0, th, out=_empty(xd.shape))
         gx *= 0.5
         gx += slope
         gx *= g
@@ -652,11 +659,15 @@ def layer_norm(x, gain, bias, eps=1e-5):
     gd = gain.data
 
     def vjp(g):
-        g_norm = g * gd
-        term = g_norm - _row_dot(g_norm, inv_cols)
-        term -= norm * _row_dot(g_norm * norm, inv_cols)
+        # One scratch buffer takes each m x C product in turn.
+        scratch = np.multiply(g, gd, out=_empty(g.shape))
+        term = np.subtract(scratch, _row_dot(scratch, inv_cols), out=_empty(g.shape))
+        scratch *= norm
+        term -= np.multiply(norm, _row_dot(scratch, inv_cols), out=scratch)
+        term *= inv_std
         g_rows = g.reshape(-1, cols)
-        return (term * inv_std, (g_rows * norm.reshape(-1, cols)).sum(axis=0), g_rows.sum(axis=0))
+        g_gain = np.multiply(g_rows, norm.reshape(-1, cols), out=scratch.reshape(-1, cols))
+        return (term, g_gain.sum(axis=0), g_rows.sum(axis=0))
 
     return _make(norm * gd + bias.data, "layer_norm", (x, gain, bias), vjp)
 

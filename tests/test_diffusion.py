@@ -1,10 +1,12 @@
 """Flow-matching model, training loop, sampler, and the quality proxy."""
 
+import gc
 import math
 
 import numpy as np
 import pytest
 
+import mtat.tensor as T
 from mtat.attention import composed_attention_map
 from mtat.diffusion import (
     FidReference,
@@ -563,6 +565,48 @@ def test_training_halves_held_out_loss():
         model, _ = train_step(model, opt, data.images[idx], data.labels[idx], rng)
     after = eval_loss(model)
     assert after < 0.5 * before
+
+
+def empty_pool(monkeypatch, cap):
+    """Give the rest of the test an empty op output pool of ``cap`` bytes;
+    a cap of 0 turns pooling off."""
+    monkeypatch.setattr(T, "_pool", {})
+    monkeypatch.setattr(T, "_pool_bytes", 0)
+    monkeypatch.setattr(T, "_POOL_CAP", cap)
+
+
+def test_a_pooled_tape_gives_the_unpooled_loss_and_gradients(monkeypatch):
+    model = randomised_default_model()
+    first, second = batch_inputs(model.cfg, 8), batch_inputs(model.cfg, 8, seed=7)
+
+    def loss_and_grads():
+        loss = batch_loss(model, *first)
+        batch_loss(model, *second)  # a dropped taped forward while the first tape is live
+        grads = backward(loss)
+        return loss.data.tobytes(), {n: grads[p].tobytes() for n, p in model.params.items()}
+
+    empty_pool(monkeypatch, T._POOL_CAP)
+    pooled = loss_and_grads()
+    assert T._pool_bytes > 0
+    empty_pool(monkeypatch, 0)
+    assert loss_and_grads() == pooled
+    assert T._pool_bytes == 0
+
+
+def test_train_steps_after_the_first_add_no_pool_block(monkeypatch):
+    empty_pool(monkeypatch, T._POOL_CAP)
+    model = ToyDiffusionModel(ToyModelConfig(), seed=0)
+    data = synth_dataset(0, model.cfg.classes, 8, 8, 64)
+    opt, rng = SgdState(0.01, 0.9), stream_rng(0, "data", "train")
+    gc.collect()
+    states = []
+    for _ in range(5):
+        picks = rng.integers(0, 64, size=8)
+        model, _ = train_step(model, opt, data.images[picks], data.labels[picks], rng)
+        blocks = {size: [id(b) for b in bs] for size, bs in T._pool.items()}
+        states.append((T._pool_bytes, blocks))
+    assert states[0][0] > 0
+    assert states[1:] == states[:1] * 4
 
 
 def test_batch_loss_rejects_empty_batch():

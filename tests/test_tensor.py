@@ -787,7 +787,41 @@ def test_only_mid_size_outputs_come_from_the_pool(nbytes, pooled):
     assert (block is not None) == pooled
     if pooled:
         assert block.ndim == 1 and block.nbytes == nbytes
-    assert _empty((nbytes // 8,)).base is None  # a recording tape's outputs are plain
+    assert (_empty((nbytes // 8,)).base is not None) == pooled  # recording: the same sizes
+
+
+def test_pooled_outputs_start_on_a_cache_line():
+    x = Tensor(np.ones((64, 64)))
+    # Held at once, so each product, 32 KiB and up, has a block of its own.
+    held = [matmul(x, Tensor(np.ones((64, 64 + i)))).data for i in range(8)]
+    assert all(a.base is not None and a.__array_interface__["data"][0] % 64 == 0 for a in held)
+
+
+def test_a_block_held_only_by_a_vjp_closure_is_never_handed_out():
+    import mtat.tensor as T
+
+    x = Tensor(np.random.default_rng(3).standard_normal((8, 64, 64)), requires_grad=True)
+    y = gelu(x)
+    vjp = y._record.vjp
+    del y  # gelu's tanh term is now held by its VJP closure alone
+    (cell,) = [c for c in vjp.__closure__ if c.cell_contents is not x.data]
+    address = cell.cell_contents.__array_interface__["data"][0]
+    saved = cell.cell_contents.copy()
+    assert cell.cell_contents.base is not None
+    want = gelu(Tensor(x.data, requires_grad=True))._record.vjp(np.ones(x.shape))[0].copy()
+    gc.collect()
+    pointers = lambda arrays: [a.__array_interface__["data"][0] for a in arrays]
+    blocks = len(T._pool[x.data.nbytes])
+
+    taken = [_empty(x.shape) for _ in range(blocks + 1)]
+    for a in taken:
+        a.fill(7.0)
+    assert address not in pointers(taken)
+    assert np.array_equal(cell.cell_contents, saved)
+    assert np.array_equal(vjp(np.ones(x.shape))[0], want)
+
+    del taken, a, vjp, cell  # now nothing refers to the block
+    assert address in pointers([_empty(x.shape) for _ in range(blocks + 1)])
 
 
 def test_pooled_bytes_never_pass_the_cap():

@@ -6,7 +6,7 @@ import io
 import numpy as np
 import pytest
 
-from mtat.util import csv_text
+from mtat.util import aligned_empty, csv_text
 
 
 @pytest.mark.parametrize(
@@ -34,3 +34,14 @@ def test_csv_text_writes_each_rule(rows, text):
     assert back[0] == ["a", "b"] and len(back) == len(rows) + 1
     for row, read in zip(rows, back[1:]):
         assert all(field == value for value, field in zip(row, read) if isinstance(value, str))
+
+
+@pytest.mark.parametrize("size", [1, 7, 4096, 65535])
+def test_aligned_empty_starts_on_a_cache_line_and_bases_its_views(size):
+    block = aligned_empty(size)
+    assert block.shape == (size,) and block.dtype == np.float64
+    assert block.__array_interface__["data"][0] % 64 == 0 and block.flags.writeable
+    view = block[1:].reshape(-1, 1)[::2]
+    assert view.base is block  # a view's life keeps the block's reference count up
+    view[...] = 3.0
+    assert np.all(block[1::2] == 3.0)
